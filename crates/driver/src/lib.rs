@@ -20,6 +20,7 @@ use impact_inline::{
     expand_site, inline_module, ExpansionRecord, Incident, IncidentStage, InlineConfig,
     Linearization, SiteDecision,
 };
+use impact_obs::{names, Telemetry};
 use impact_opt::optimize_module_observed;
 use impact_vm::{profile_runs, Engine, FaultPlan, IcacheConfig, NamedFile, Profile, VmConfig};
 
@@ -913,6 +914,10 @@ pub type RunSpec = (Vec<NamedFile>, Vec<String>);
 /// both warn and fall back to an unprofiled plan in which every arc
 /// carries exactly the threshold weight — threshold-only inlining —
 /// instead of aborting the compilation.
+///
+/// Alongside the profile comes the pristine module's behavior when the
+/// differential guard may reuse it as ground truth: only from a profiling
+/// run that finished with no fault armed (`vm:oom` can perturb it).
 fn acquire_profile(
     module: &Module,
     runs: &[RunSpec],
@@ -921,7 +926,7 @@ fn acquire_profile(
     fallback_weight: u64,
     incidents: &mut Vec<Incident>,
     out: &mut String,
-) -> Result<Profile, String> {
+) -> Result<(Profile, Option<Behavior>), String> {
     let degraded =
         |detail: String, subject: String, incidents: &mut Vec<Incident>, out: &mut String| {
             let _ = writeln!(
@@ -934,7 +939,7 @@ fn acquire_profile(
                 detail,
                 rolled_back: false,
             });
-            Profile::assume_hot(module, fallback_weight)
+            (Profile::assume_hot(module, fallback_weight), None)
         };
     match profile_in {
         Some(path) => {
@@ -946,7 +951,7 @@ fn acquire_profile(
                 Profile::from_text(&text).map_err(|e| e.to_string())
             };
             match parsed {
-                Ok(p) => Ok(p),
+                Ok(p) => Ok((p, None)),
                 Err(e) => Ok(degraded(
                     format!("bad profile `{path}`: {e}"),
                     format!("profile `{path}`"),
@@ -955,8 +960,8 @@ fn acquire_profile(
                 )),
             }
         }
-        None => match profile_runs(module, runs, vm_cfg) {
-            Ok((p, _)) => Ok(p),
+        None => match observe(module, runs, vm_cfg, &vm_cfg.obs) {
+            Ok((seen, p)) => Ok((p, vm_cfg.fault.is_empty().then_some(seen))),
             Err(e) => Ok(degraded(
                 format!("profiling run trapped: {e}"),
                 "profiling run".to_string(),
@@ -968,16 +973,61 @@ fn acquire_profile(
 }
 
 /// Observable behavior of a module over a run set: per-run stdout and
-/// exit code, or the trap that stopped the first failing run.
-fn behavior(module: &Module, runs: &[RunSpec]) -> Result<Vec<(Vec<u8>, i64)>, String> {
-    let cfg = VmConfig::default(); // differential runs are never faulted
-    let mut results = Vec::with_capacity(runs.len());
+/// exit code.
+type Behavior = Vec<(Vec<u8>, i64)>;
+
+/// One execution of a module over a run set: its behavior and merged
+/// profile, or the trap that stopped the first failing run.
+type Observation = Result<(Behavior, Profile), String>;
+
+/// Runs `module` over `runs` under `cfg`, counting each VM execution
+/// under `pipeline:vm_executions` on `obs`.
+fn observe(module: &Module, runs: &[RunSpec], cfg: &VmConfig, obs: &Telemetry) -> Observation {
+    let mut profile = Profile::for_module(module);
+    let mut seen = Vec::with_capacity(runs.len());
     for (inputs, args) in runs {
-        let out = impact_vm::run(module, inputs.clone(), args.clone(), &cfg)
-            .map_err(|e| e.to_string())?;
-        results.push((out.stdout, out.exit_code));
+        obs.count(names::PIPELINE_VM_EXECUTIONS, 1);
+        let out =
+            impact_vm::run(module, inputs.clone(), args.clone(), cfg).map_err(|e| e.to_string())?;
+        profile.merge(&out.profile);
+        seen.push((out.stdout, out.exit_code));
     }
-    Ok(results)
+    Ok((seen, profile))
+}
+
+/// The behavior part of an observation, `None` when it trapped.
+fn behavior_of(o: &Observation) -> Option<&Behavior> {
+    o.as_ref().ok().map(|(seen, _)| seen)
+}
+
+/// Executes modules over one compile's run set for the differential
+/// guard, the `--opt` check and the after-profile: under the user's
+/// governor (`--engine`, `--fuel`, `--mem-limit`), never faulted and
+/// never traced.
+struct Runner<'a> {
+    runs: &'a [RunSpec],
+    cfg: VmConfig,
+    obs: &'a Telemetry,
+}
+
+impl<'a> Runner<'a> {
+    fn new(runs: &'a [RunSpec], vm: &VmConfig, obs: &'a Telemetry) -> Self {
+        let cfg = VmConfig {
+            engine: vm.engine,
+            max_steps: vm.max_steps,
+            mem_limit: vm.mem_limit,
+            ..VmConfig::default()
+        };
+        Runner { runs, cfg, obs }
+    }
+
+    fn observe(&self, module: &Module) -> Observation {
+        observe(module, self.runs, &self.cfg, self.obs)
+    }
+
+    fn behavior(&self, module: &Module) -> Option<Behavior> {
+        self.observe(module).ok().map(|(seen, _)| seen)
+    }
 }
 
 /// Replays a subset of expansion records on a pristine pre-expansion
@@ -999,6 +1049,12 @@ fn replay(module0: &Module, records: &[ExpansionRecord], included: &[bool]) -> M
 /// set, rolls those arcs back (rebuilding the module from the pristine
 /// copy), and records incidents — a miscompile is never shipped.
 ///
+/// `truth` is the pre-inline behavior when the profiling run already
+/// observed it; otherwise the guard runs `module0` itself. Returns the
+/// check run of the module when the guard accepts it unchanged, so the
+/// caller can reuse it; `None` when there was no ground truth or arcs
+/// were rolled back.
+///
 /// `promoted` forces the conservative path: promotion rewrites sites the
 /// records may reference, so the whole transformation is rolled back
 /// instead of bisected.
@@ -1006,20 +1062,20 @@ fn replay(module0: &Module, records: &[ExpansionRecord], included: &[bool]) -> M
 fn differential_guard(
     module: &mut Module,
     module0: &Module,
+    truth: Option<Behavior>,
     records: &[ExpansionRecord],
     promoted: bool,
     eliminate: bool,
-    runs: &[RunSpec],
+    runner: &Runner,
     incidents: &mut Vec<Incident>,
     out: &mut String,
-) {
-    let Ok(target) = behavior(module0, runs) else {
-        // The original program itself traps on these runs: there is no
-        // ground truth to compare against.
-        return;
-    };
-    if behavior(module, runs).ok().as_ref() == Some(&target) {
-        return;
+) -> Option<Observation> {
+    // `None` here: the original program itself traps on these runs, so
+    // there is no ground truth to compare against.
+    let target = truth.or_else(|| runner.behavior(module0))?;
+    let check = runner.observe(module);
+    if behavior_of(&check) == Some(&target) {
+        return Some(check);
     }
     let _ = writeln!(
         out,
@@ -1035,12 +1091,12 @@ fn differential_guard(
                 .to_string(),
             rolled_back: true,
         });
-        return;
+        return None;
     }
     let mut included = vec![true; records.len()];
     for _ in 0..records.len() {
         let candidate = replay(module0, records, &included);
-        if behavior(&candidate, runs).ok().as_ref() == Some(&target) {
+        if runner.behavior(&candidate).as_ref() == Some(&target) {
             break;
         }
         // Smallest prefix of still-included arcs that diverges; its last
@@ -1051,10 +1107,7 @@ fn differential_guard(
             for &i in &active[..k] {
                 subset[i] = true;
             }
-            behavior(&replay(module0, records, &subset), runs)
-                .ok()
-                .as_ref()
-                != Some(&target)
+            runner.behavior(&replay(module0, records, &subset)).as_ref() != Some(&target)
         };
         let (mut lo, mut hi) = (1, active.len());
         while lo < hi {
@@ -1084,7 +1137,8 @@ fn differential_guard(
     if eliminate {
         impact_inline::eliminate_unreachable(module);
     }
-    debug_assert!(behavior(module, runs).ok().as_ref() == Some(&target));
+    debug_assert!(runner.behavior(module).as_ref() == Some(&target));
+    None
 }
 
 /// Appends per-incident lines and the `; incidents: N (M rolled back)`
@@ -1150,7 +1204,7 @@ pub fn inline_pipeline_observed(
     sources: &[Source],
     runs: &[RunSpec],
     opts: &Options,
-    obs: &impact_obs::Telemetry,
+    obs: &Telemetry,
 ) -> Result<(i32, String, Vec<SiteDecision>), PipelineFailure> {
     let mut out = String::new();
     let config_err = |e: String| PipelineFailure::new("config", "bad-flag", e);
@@ -1177,7 +1231,7 @@ pub fn inline_pipeline_observed(
     }
     let module0 = module.clone();
     let mut incidents: Vec<Incident> = Vec::new();
-    let profile = {
+    let (profile, truth) = {
         let _profile_span = obs.span("profile:acquire");
         acquire_profile(
             &module,
@@ -1217,18 +1271,22 @@ pub fn inline_pipeline_observed(
         f.incidents = incidents.iter().map(|i| i.to_string()).collect();
         return Err(f);
     }
-    differential_guard(
+    let runner = Runner::new(runs, &vm_cfg, obs);
+    // The latest run of `module` as it stands, when one is reusable.
+    let mut seen = differential_guard(
         &mut module,
         &module0,
+        truth,
         &report.records,
         !report.promoted.is_empty(),
         cfg.eliminate_unreachable,
-        runs,
+        &runner,
         &mut incidents,
         &mut out,
     );
     if opts.opt {
         let pre_opt = module.clone();
+        let pre_seen = seen.take();
         let (_, skipped, fixpoints) = optimize_module_observed(&mut module, &fault, obs);
         for s in skipped {
             incidents.push(Incident {
@@ -1249,9 +1307,12 @@ pub fn inline_pipeline_observed(
         // The optimizer gets the same never-ship-a-miscompile
         // treatment, but wholesale: verify and re-compare, and
         // revert the whole optimization on any failure.
-        let broken = verify_module(&module).is_err()
-            || behavior(&module, runs).ok() != behavior(&pre_opt, runs).ok();
-        if broken {
+        if verify_module(&module).is_ok() {
+            let optimized = runner.observe(&module);
+            let before = pre_seen.unwrap_or_else(|| runner.observe(&pre_opt));
+            seen = (behavior_of(&optimized) == behavior_of(&before)).then_some(optimized);
+        }
+        if seen.is_none() {
             module = pre_opt;
             incidents.push(Incident {
                 stage: IncidentStage::Divergence,
@@ -1305,8 +1366,8 @@ pub fn inline_pipeline_observed(
             report.promoted.len()
         );
     }
-    match profile_runs(&module, runs, &VmConfig::default()) {
-        Ok((after, _)) => {
+    match seen.unwrap_or_else(|| runner.observe(&module)) {
+        Ok((_, after)) => {
             let _ = writeln!(
                 out,
                 "; dynamic calls {} -> {} ({:.1}% eliminated)",
@@ -1410,6 +1471,13 @@ pub fn execute(opts: &Options) -> Result<(i32, String), String> {
         return Err(format!(
             "--stats/--stats-prom/--stats-json only apply to `request` (the \
              client interrogating a serve daemon), not `{}`",
+            opts.command
+        ));
+    }
+    if opts.command == "bench" && opts.opt {
+        return Err(format!(
+            "--opt only applies to commands that compile through the inline \
+             pipeline (inline, batch, serve), not `{}`",
             opts.command
         ));
     }
@@ -1529,7 +1597,7 @@ pub fn execute(opts: &Options) -> Result<(i32, String), String> {
             let module0 = module.clone();
             let runs = b.profile_run_set(4);
             let mut incidents: Vec<Incident> = Vec::new();
-            let profile = acquire_profile(
+            let (profile, truth) = acquire_profile(
                 &module,
                 &runs,
                 &vm_cfg,
@@ -1540,21 +1608,19 @@ pub fn execute(opts: &Options) -> Result<(i32, String), String> {
             )?;
             let report = inline_module(&mut module, &profile.averaged(), &cfg);
             incidents.extend(report.incidents.iter().cloned());
-            differential_guard(
+            let runner = Runner::new(&runs, &vm_cfg, &obs);
+            let seen = differential_guard(
                 &mut module,
                 &module0,
+                truth,
                 &report.records,
                 !report.promoted.is_empty(),
                 cfg.eliminate_unreachable,
-                &runs,
+                &runner,
                 &mut incidents,
                 &mut out,
             );
-            let after_cfg = VmConfig {
-                engine: vm_cfg.engine,
-                ..VmConfig::default()
-            };
-            let (after, _) = profile_runs(&module, &runs, &after_cfg).map_err(|e| e.to_string())?;
+            let (_, after) = seen.unwrap_or_else(|| runner.observe(&module))?;
             let _ = writeln!(
                 out,
                 "{name}: {} C lines, {} ILs/run, calls {} -> {} ({:.1}% eliminated), code {:+.1}%",
@@ -2048,6 +2114,18 @@ mod recovery_tests {
     }
 
     #[test]
+    fn opt_is_rejected_by_bench() {
+        for args in [vec!["bench", "--opt"], vec!["bench", "grep", "--opt"]] {
+            let o = Options::parse(&strs(&args)).unwrap();
+            let err = execute(&o).unwrap_err();
+            assert!(
+                err.contains("--opt only applies to") && err.contains("not `bench`"),
+                "{args:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn observability_flags_are_scoped_to_their_commands() {
         // Stats snapshots are a request-client interrogation...
         for flag in ["--stats", "--stats-prom", "--stats-json"] {
@@ -2281,6 +2359,133 @@ mod recovery_tests {
             "the harmless arc must survive: {out}"
         );
         assert!(out.contains("(1 rolled back)"), "{out}");
+    }
+
+    #[test]
+    fn divergence_on_reused_ground_truth_still_bisects() {
+        // The program of `differential_net_bisects_a_real_stack_divergence`,
+        // driven through the guard directly: once with the profiling run's
+        // behavior as ground truth, once with the guard running the
+        // pristine module itself.
+        let module0 = compile(&[Source::new(
+            "deep.c",
+            "int leaf(int x) { char a[2048]; a[0] = x; a[x & 1023] = 1; return a[0] + a[x & 1023]; }\n\
+             int rec(int n) { if (n <= 0) return 0; return leaf(n) + rec(n - 1); }\n\
+             int main() { int i; int s; s = 0;\n\
+               for (i = 0; i < 20000; i++) s += leaf(i);\n\
+               s += rec(10000);\n\
+               return s & 0xff; }",
+        )])
+        .unwrap();
+        let runs: Vec<RunSpec> = vec![(vec![], vec![]); 2];
+        let vm = VmConfig::default();
+        let cfg = InlineConfig::default();
+        let (profile, truth) = acquire_profile(
+            &module0,
+            &runs,
+            &vm,
+            None,
+            cfg.weight_threshold,
+            &mut Vec::new(),
+            &mut String::new(),
+        )
+        .unwrap();
+        assert!(truth.is_some(), "a clean profiling run is reusable");
+        let mut inlined = module0.clone();
+        let report = inline_module(&mut inlined, &profile.averaged(), &cfg);
+        let guard = |truth: Option<Behavior>| {
+            let obs = Telemetry::enabled();
+            let runner = Runner::new(&runs, &vm, &obs);
+            let (mut module, mut incidents) = (inlined.clone(), Vec::new());
+            let seen = differential_guard(
+                &mut module,
+                &module0,
+                truth,
+                &report.records,
+                false,
+                cfg.eliminate_unreachable,
+                &runner,
+                &mut incidents,
+                &mut String::new(),
+            );
+            assert!(seen.is_none(), "a rolled-back module is not reused");
+            let incidents: Vec<String> = incidents.iter().map(|i| i.to_string()).collect();
+            let executions = obs.snapshot().counters[names::PIPELINE_VM_EXECUTIONS];
+            (module_to_string(&module), incidents, executions)
+        };
+        let (reused, reused_incidents, reused_runs) = guard(truth);
+        let (fresh, fresh_incidents, fresh_runs) = guard(None);
+        assert_eq!(reused_incidents.len(), 1, "{reused_incidents:?}");
+        assert!(
+            reused_incidents[0].contains("`leaf` -> `rec`"),
+            "{reused_incidents:?}"
+        );
+        assert_eq!(reused_incidents, fresh_incidents);
+        assert_eq!(reused, fresh);
+        assert_eq!(fresh_runs - reused_runs, runs.len() as u64);
+    }
+
+    #[test]
+    fn guard_runs_obey_the_heap_quota() {
+        // Under the quota `__malloc` returns NULL and the program takes
+        // its short branch. Profile, guard and after-profile must all see
+        // that branch: a guard run without the quota would report a
+        // divergence, and an after-profile without it would count the
+        // long branch's 50 calls.
+        let src = write_src(
+            "impactc-memlimit-guard",
+            "null.c",
+            "extern long __malloc(long n);\n\
+             int sq(int x) { return x * x; }\n\
+             int main() { long p; int i; int s; s = 0; p = __malloc(4096);\n\
+               if (p == 0) { for (i = 0; i < 10; i++) s += sq(i); return 1; }\n\
+               for (i = 0; i < 50; i++) s += sq(i);\n\
+               return 2; }",
+        );
+        let o = Options::parse(&strs(&["inline", &src, "--quiet", "--mem-limit", "1024"])).unwrap();
+        let (code, out) = execute(&o).unwrap();
+        assert_eq!(code, 0);
+        assert!(!out.contains("diverged"), "{out}");
+        assert!(out.contains("; incidents: 0 (0 rolled back)"), "{out}");
+        assert!(out.contains("; dynamic calls 11 -> 1 "), "{out}");
+    }
+
+    /// The report of `inline --quiet EXTRA` on `grep`'s first two
+    /// representative inputs, as an FNV-1a digest.
+    fn grep_report_digest(extra: &[&str]) -> String {
+        let b = impact_workloads::benchmark("grep").unwrap();
+        let mut args = vec!["inline", "--quiet"];
+        args.extend(extra);
+        let o = Options::parse(&strs(&args)).unwrap();
+        let (_, report) = inline_pipeline(&b.sources(), &b.profile_run_set(2), &o).unwrap();
+        format!("{:016x}", impact_vm::fnv1a64(report.as_bytes()))
+    }
+
+    #[test]
+    fn fallback_paths_keep_their_reports_on_a_paper_workload() {
+        // The digests are those of the reports before the guard reused
+        // the profiling run: the paths that still run the pristine module
+        // afresh must not change a byte.
+        let dir = std::env::temp_dir().join("impactc-fallback-grep");
+        std::fs::create_dir_all(&dir).unwrap();
+        let prof = dir.join("grep.profile");
+        let prof = prof.to_str().unwrap();
+        assert_eq!(
+            grep_report_digest(&["--profile-out", prof]),
+            "7d211d311e11e25e"
+        );
+        assert_eq!(
+            grep_report_digest(&["--profile-in", prof]),
+            "7d211d311e11e25e"
+        );
+        assert_eq!(
+            grep_report_digest(&["--fault", "vm:oom=1000000000"]),
+            "ebf883990a190c8f"
+        );
+        assert_eq!(
+            grep_report_digest(&["--fault", "expand:verify:1"]),
+            "e8d5a3be2098705d"
+        );
     }
 
     #[test]

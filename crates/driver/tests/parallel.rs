@@ -184,11 +184,10 @@ fn assert_staging_scrubbed(dir: &Path) {
     if !staging.is_dir() {
         return;
     }
-    for entry in std::fs::read_dir(&staging).unwrap() {
-        let p = entry.unwrap().path();
+    if let Some(entry) = std::fs::read_dir(&staging).unwrap().next() {
         panic!(
             "stale staging file survived the resumed campaign: {}",
-            p.display()
+            entry.unwrap().path().display()
         );
     }
 }

@@ -219,6 +219,50 @@ fn telemetry_flags_are_scoped_to_their_commands() {
     assert!(err.contains("pipeline commands"), "{err}");
 }
 
+/// The `pipeline:vm_executions` counter that `ARGS --metrics-out` writes.
+fn vm_executions(args: &[&str], metrics: &std::path::Path) -> u64 {
+    let mut args = strs(args);
+    args.extend(strs(&["--metrics-out", metrics.to_str().unwrap()]));
+    let (code, out) = execute(&Options::parse(&args).unwrap()).unwrap();
+    assert_eq!(code, 0, "{out}");
+    let m = std::fs::read_to_string(metrics).unwrap();
+    let line = m
+        .lines()
+        .find(|l| l.contains("\"pipeline:vm_executions\""))
+        .unwrap_or_else(|| panic!("no pipeline:vm_executions in {m}"));
+    field(line, "value").parse().unwrap()
+}
+
+#[test]
+fn vm_executions_counter_is_exact() {
+    // Each module runs once over the N runs: the profiling run is the
+    // guard's ground truth, and the guard's check run is the
+    // after-profile. `inline` makes one run (N = 1).
+    let dir = fixture_dir("vm-executions");
+    let src = dir.join("all_classes.c");
+    let src = src.to_str().unwrap();
+    let prof = dir.join("all_classes.profile");
+    let prof = prof.to_str().unwrap();
+    let metrics = dir.join("metrics.json");
+    let inline = |extra: &[&str]| {
+        let mut args = vec!["inline", src, "--quiet"];
+        args.extend(extra);
+        vm_executions(&args, &metrics)
+    };
+    assert_eq!(inline(&["--profile-out", prof]), 2);
+    assert_eq!(inline(&["--opt"]), 3);
+    // The fallbacks run the pristine module afresh: there is no profiling
+    // run to reuse, or an armed fault could have perturbed it.
+    assert_eq!(inline(&["--profile-in", prof]), 2);
+    assert_eq!(inline(&["--fault", "vm:oom=1000000"]), 3);
+    // `bench NAME` profiles over up to four representative inputs.
+    let n = impact_workloads::benchmark("grep")
+        .unwrap()
+        .profile_run_set(4)
+        .len() as u64;
+    assert_eq!(vm_executions(&["bench", "grep"], &metrics), 2 * n);
+}
+
 #[test]
 fn batch_summary_reports_per_unit_time_and_retries() {
     let dir = fixture_dir("batch");

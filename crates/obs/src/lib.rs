@@ -29,8 +29,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Canonical counter names for the compilation service (pool, cache,
-/// serve). Centralizing them here keeps the producer (driver) and the
+/// Canonical counter names for the compilation pipeline and service
+/// (pool, cache, serve). Centralizing them here keeps the producer (driver) and the
 /// consumers (metrics JSON assertions in tests and CI `jq` probes) from
 /// drifting apart on spelling.
 pub mod names {
@@ -99,8 +99,12 @@ pub mod names {
     pub const HIST_RTT: &str = "hist:rtt-us";
     /// Histogram: supervised compile-attempt wall time per request.
     pub const HIST_COMPILE: &str = "hist:compile-us";
+    /// VM executions a compile performed: one per run of the run set for
+    /// each module executed (profile, differential guard, bisection,
+    /// `--opt` check, after-profile).
+    pub const PIPELINE_VM_EXECUTIONS: &str = "pipeline:vm_executions";
 
-    /// Every service counter name, for exhaustiveness checks.
+    /// Every registered counter name, for exhaustiveness checks.
     pub const ALL: &[&str] = &[
         POOL_STEALS,
         POOL_WORKERS,
@@ -129,6 +133,7 @@ pub mod names {
         HIST_SERVICE,
         HIST_RTT,
         HIST_COMPILE,
+        PIPELINE_VM_EXECUTIONS,
     ];
 }
 
@@ -750,7 +755,8 @@ mod tests {
                     || n.starts_with("net:")
                     || n.starts_with("stats:")
                     || n.starts_with("flight:")
-                    || n.starts_with("hist:"),
+                    || n.starts_with("hist:")
+                    || n.starts_with("pipeline:"),
                 "unnamespaced counter {n}"
             );
         }
