@@ -25,6 +25,7 @@ use impact_opt::optimize_module_observed;
 use impact_vm::{profile_runs, Engine, FaultPlan, IcacheConfig, NamedFile, Profile, VmConfig};
 
 pub mod cache;
+mod flags;
 pub mod fuzz;
 pub mod journal;
 pub mod minimize;
@@ -38,8 +39,11 @@ pub(crate) mod transport;
 
 use report::PipelineFailure;
 
-/// A parsed command line.
-#[derive(Clone, Debug, PartialEq)]
+/// A parsed command line. Every flag field also has a row in the flag
+/// table (`flags.rs`), which parses it, scopes it to the commands that
+/// read it, and marks whether the cache key and the campaign fingerprint
+/// include it.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Options {
     /// Subcommand: `compile`, `run`, `inline`, `callgraph`, or `bench`.
     pub command: String,
@@ -177,221 +181,18 @@ impl Options {
     ///
     /// Returns a usage message on malformed input.
     pub fn parse(argv: &[String]) -> Result<Options, String> {
-        let mut it = argv.iter().peekable();
-        let command = it.next().cloned().ok_or_else(usage)?;
+        let mut it = argv.iter();
         let mut opts = Options {
-            command,
-            positional: Vec::new(),
-            inputs: Vec::new(),
-            args: Vec::new(),
-            threshold: None,
-            budget: None,
-            stack_bound: None,
-            linearization: None,
-            promote_indirect: false,
-            profile_out: None,
-            profile_in: None,
-            opt: false,
-            faults: Vec::new(),
-            quiet: false,
-            fuel: None,
-            mem_limit: None,
-            time_limit_ms: None,
-            retries: None,
-            retry_base_ms: None,
-            report_dir: None,
-            fault_unit: None,
-            workloads: false,
-            seed: None,
-            journal: None,
-            resume: false,
-            force_resume: false,
-            explain: false,
-            decisions_out: None,
-            trace_out: None,
-            metrics_out: None,
-            jobs: None,
-            cache_dir: None,
-            queue_depth: None,
-            cache_budget_bytes: None,
-            deadline_ms: None,
-            ping: false,
-            tcp: None,
-            max_conns: None,
-            remote: None,
-            engine: None,
-            icache: false,
-            stats: false,
-            stats_prom: false,
-            stats_json: false,
-            flight_recorder: None,
+            command: it.next().cloned().ok_or_else(usage)?,
+            ..Options::default()
         };
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--input" => {
-                    let v = it.next().ok_or("--input needs name=path".to_string())?;
-                    let (name, path) = v
-                        .split_once('=')
-                        .ok_or("--input needs name=path".to_string())?;
-                    opts.inputs.push((name.to_string(), path.to_string()));
+        while let Some(arg) = it.next() {
+            match flags::FLAGS.iter().find(|f| f.name == arg) {
+                Some(flag) => flag.apply(&mut opts, &mut it)?,
+                None if arg.starts_with("--") => {
+                    return Err(format!("unknown option `{arg}`\n{}", usage()));
                 }
-                "--arg" => {
-                    let v = it.next().ok_or("--arg needs a value".to_string())?;
-                    opts.args.push(v.clone());
-                }
-                "--threshold" => {
-                    let v = it.next().ok_or("--threshold needs a number".to_string())?;
-                    opts.threshold = Some(v.parse().map_err(|_| "bad --threshold")?);
-                }
-                "--budget" => {
-                    let v = it.next().ok_or("--budget needs a number".to_string())?;
-                    opts.budget = Some(v.parse().map_err(|_| "bad --budget")?);
-                }
-                "--stack-bound" => {
-                    let v = it
-                        .next()
-                        .ok_or("--stack-bound needs a number".to_string())?;
-                    opts.stack_bound = Some(v.parse().map_err(|_| "bad --stack-bound")?);
-                }
-                "--linearize" => {
-                    let v = it
-                        .next()
-                        .ok_or("--linearize needs a strategy".to_string())?;
-                    opts.linearization = Some(v.clone());
-                }
-                "--promote-indirect" => opts.promote_indirect = true,
-                "--profile-out" => {
-                    let v = it.next().ok_or("--profile-out needs a path".to_string())?;
-                    opts.profile_out = Some(v.clone());
-                }
-                "--profile-in" => {
-                    let v = it.next().ok_or("--profile-in needs a path".to_string())?;
-                    opts.profile_in = Some(v.clone());
-                }
-                "--opt" => opts.opt = true,
-                "--fault" => {
-                    let v = it.next().ok_or("--fault needs KEY[=N]".to_string())?;
-                    opts.faults.push(v.clone());
-                }
-                "--quiet" => opts.quiet = true,
-                "--fuel" => {
-                    let v = it.next().ok_or("--fuel needs a number".to_string())?;
-                    opts.fuel = Some(v.parse().map_err(|_| "bad --fuel")?);
-                }
-                "--mem-limit" => {
-                    let v = it.next().ok_or("--mem-limit needs a number".to_string())?;
-                    opts.mem_limit = Some(v.parse().map_err(|_| "bad --mem-limit")?);
-                }
-                "--time-limit-ms" => {
-                    let v = it
-                        .next()
-                        .ok_or("--time-limit-ms needs a number".to_string())?;
-                    opts.time_limit_ms = Some(v.parse().map_err(|_| "bad --time-limit-ms")?);
-                }
-                "--retries" => {
-                    let v = it.next().ok_or("--retries needs a number".to_string())?;
-                    opts.retries = Some(v.parse().map_err(|_| "bad --retries")?);
-                }
-                "--retry-base-ms" => {
-                    let v = it
-                        .next()
-                        .ok_or("--retry-base-ms needs a number".to_string())?;
-                    opts.retry_base_ms = Some(v.parse().map_err(|_| "bad --retry-base-ms")?);
-                }
-                "--report-dir" => {
-                    let v = it.next().ok_or("--report-dir needs a path".to_string())?;
-                    opts.report_dir = Some(v.clone());
-                }
-                "--fault-unit" => {
-                    let v = it.next().ok_or("--fault-unit needs a name".to_string())?;
-                    opts.fault_unit = Some(v.clone());
-                }
-                "--workloads" => opts.workloads = true,
-                "--journal" => {
-                    let v = it.next().ok_or("--journal needs a path".to_string())?;
-                    opts.journal = Some(v.clone());
-                }
-                "--resume" => opts.resume = true,
-                "--force-resume" => opts.force_resume = true,
-                "--explain" => opts.explain = true,
-                "--decisions-out" => {
-                    let v = it
-                        .next()
-                        .ok_or("--decisions-out needs a path".to_string())?;
-                    opts.decisions_out = Some(v.clone());
-                }
-                "--trace-out" => {
-                    let v = it.next().ok_or("--trace-out needs a path".to_string())?;
-                    opts.trace_out = Some(v.clone());
-                }
-                "--metrics-out" => {
-                    let v = it.next().ok_or("--metrics-out needs a path".to_string())?;
-                    opts.metrics_out = Some(v.clone());
-                }
-                "--seed" => {
-                    let v = it.next().ok_or("--seed needs a number".to_string())?;
-                    opts.seed = Some(v.parse().map_err(|_| "bad --seed")?);
-                }
-                "--jobs" => {
-                    let v = it.next().ok_or("--jobs needs a number".to_string())?;
-                    opts.jobs = Some(v.parse().map_err(|_| "bad --jobs")?);
-                }
-                "--cache-dir" => {
-                    let v = it.next().ok_or("--cache-dir needs a path".to_string())?;
-                    opts.cache_dir = Some(v.clone());
-                }
-                "--queue-depth" => {
-                    let v = it
-                        .next()
-                        .ok_or("--queue-depth needs a number".to_string())?;
-                    opts.queue_depth = Some(v.parse().map_err(|_| "bad --queue-depth")?);
-                }
-                "--cache-budget-bytes" => {
-                    let v = it
-                        .next()
-                        .ok_or("--cache-budget-bytes needs a number".to_string())?;
-                    opts.cache_budget_bytes =
-                        Some(v.parse().map_err(|_| "bad --cache-budget-bytes")?);
-                }
-                "--deadline-ms" => {
-                    let v = it
-                        .next()
-                        .ok_or("--deadline-ms needs a number".to_string())?;
-                    opts.deadline_ms = Some(v.parse().map_err(|_| "bad --deadline-ms")?);
-                }
-                "--ping" => opts.ping = true,
-                "--tcp" => {
-                    let v = it.next().ok_or("--tcp needs HOST:PORT".to_string())?;
-                    opts.tcp = Some(v.clone());
-                }
-                "--max-conns" => {
-                    let v = it.next().ok_or("--max-conns needs a number".to_string())?;
-                    opts.max_conns = Some(v.parse().map_err(|_| "bad --max-conns")?);
-                }
-                "--remote" => {
-                    let v = it
-                        .next()
-                        .ok_or("--remote needs an endpoint list".to_string())?;
-                    opts.remote = Some(v.clone());
-                }
-                "--engine" => {
-                    let v = it.next().ok_or("--engine needs a name".to_string())?;
-                    opts.engine = Some(v.clone());
-                }
-                "--icache" => opts.icache = true,
-                "--stats" => opts.stats = true,
-                "--stats-prom" => opts.stats_prom = true,
-                "--stats-json" => opts.stats_json = true,
-                "--flight-recorder" => {
-                    let v = it
-                        .next()
-                        .ok_or("--flight-recorder needs a capacity".to_string())?;
-                    opts.flight_recorder = Some(v.parse().map_err(|_| "bad --flight-recorder")?);
-                }
-                other if other.starts_with("--") => {
-                    return Err(format!("unknown option `{other}`\n{}", usage()));
-                }
-                other => opts.positional.push(other.to_string()),
+                None => opts.positional.push(arg.clone()),
             }
         }
         Ok(opts)
@@ -763,7 +564,7 @@ pub fn usage() -> String {
      \x20                                 e.g. expand:verify:1, vm:oom=3, profile:parse\n\
      \x20 --quiet                         suppress IL dumps\n\
      \n\
-     resource governor (run/inline/bench/batch):\n\
+     resource governor (run/inline/callgraph/bench/batch/serve):\n\
      \x20 --fuel N                        VM instruction budget per run\n\
      \x20 --mem-limit N                   VM heap allocation quota in bytes\n\
      \n\
@@ -1402,112 +1203,8 @@ pub fn inline_pipeline_observed(
 ///
 /// Returns a human-readable error message.
 pub fn execute(opts: &Options) -> Result<(i32, String), String> {
+    flags::check_scope(opts)?;
     let mut out = String::new();
-    if !matches!(opts.command.as_str(), "batch" | "fuzz")
-        && (opts.journal.is_some() || opts.resume || opts.force_resume)
-    {
-        return Err(format!(
-            "--journal/--resume/--force-resume only apply to campaign commands \
-             (batch, fuzz), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command != "inline" && (opts.explain || opts.decisions_out.is_some()) {
-        return Err(format!(
-            "--explain/--decisions-out only apply to `inline` (the command that \
-             plans inline expansion), not `{}`",
-            opts.command
-        ));
-    }
-    if !matches!(
-        opts.command.as_str(),
-        "inline" | "bench" | "batch" | "fuzz" | "serve" | "request"
-    ) && (opts.trace_out.is_some() || opts.metrics_out.is_some())
-    {
-        return Err(format!(
-            "--trace-out/--metrics-out only apply to pipeline commands \
-             (inline, bench, batch, fuzz, serve, request), not `{}`",
-            opts.command
-        ));
-    }
-    if !matches!(opts.command.as_str(), "batch" | "serve")
-        && (opts.jobs.is_some() || opts.cache_dir.is_some() || opts.cache_budget_bytes.is_some())
-    {
-        return Err(format!(
-            "--jobs/--cache-dir/--cache-budget-bytes only apply to service \
-             commands (batch, serve), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command != "serve" && opts.queue_depth.is_some() {
-        return Err(format!(
-            "--queue-depth only applies to `serve` (the command with a bounded \
-             request queue), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command != "serve" && (opts.tcp.is_some() || opts.max_conns.is_some()) {
-        return Err(format!(
-            "--tcp/--max-conns only apply to `serve` (the daemon that binds \
-             listeners), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command != "batch" && opts.remote.is_some() {
-        return Err(format!(
-            "--remote only applies to `batch` (shipping units to a daemon \
-             fleet), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command != "request" && (opts.deadline_ms.is_some() || opts.ping) {
-        return Err(format!(
-            "--deadline-ms/--ping only apply to `request` (the client talking \
-             to a serve daemon), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command != "request" && (opts.stats || opts.stats_prom || opts.stats_json) {
-        return Err(format!(
-            "--stats/--stats-prom/--stats-json only apply to `request` (the \
-             client interrogating a serve daemon), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command == "bench" && opts.opt {
-        return Err(format!(
-            "--opt only applies to commands that compile through the inline \
-             pipeline (inline, batch, serve), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command != "serve" && opts.flight_recorder.is_some() {
-        return Err(format!(
-            "--flight-recorder only applies to `serve` (the daemon that keeps \
-             the event ring), not `{}`",
-            opts.command
-        ));
-    }
-    if !matches!(opts.command.as_str(), "batch" | "request")
-        && (opts.retries.is_some() || opts.retry_base_ms.is_some())
-    {
-        return Err(format!(
-            "--retries/--retry-base-ms only apply to the commands that retry \
-             (batch supervision, request client), not `{}`",
-            opts.command
-        ));
-    }
-    if !matches!(
-        opts.command.as_str(),
-        "run" | "inline" | "callgraph" | "bench" | "batch" | "fuzz" | "serve"
-    ) && (opts.engine.is_some() || opts.icache)
-    {
-        return Err(format!(
-            "--engine/--icache only apply to commands that execute code on the \
-             VM (run, inline, callgraph, bench, batch, fuzz, serve), not `{}`",
-            opts.command
-        ));
-    }
     match opts.command.as_str() {
         "compile" => {
             let module = compile_sources(&opts.positional)?;
@@ -1566,10 +1263,7 @@ pub fn execute(opts: &Options) -> Result<(i32, String), String> {
             let module = compile_sources(&opts.positional)?;
             let inputs = load_inputs(&opts.inputs)?;
             let runs = vec![(inputs, opts.args.clone())];
-            let cfg = VmConfig {
-                engine: opts.engine_choice()?,
-                ..VmConfig::default()
-            };
+            let cfg = opts.vm_config(FaultPlan::new())?;
             let (profile, _) = profile_runs(&module, &runs, &cfg).map_err(|e| e.to_string())?;
             let graph = CallGraph::build(&module, &profile.averaged());
             out.push_str(&graph.to_dot(&module));
@@ -1695,8 +1389,11 @@ mod tests {
     #[test]
     fn rejects_unknown_flags_and_commands() {
         assert!(Options::parse(&strs(&["compile", "--bogus"])).is_err());
-        let o = Options::parse(&strs(&["teleport"])).unwrap();
-        assert!(execute(&o).is_err());
+        for args in [&["teleport"][..], &["teleport", "--quiet"]] {
+            let o = Options::parse(&strs(args)).unwrap();
+            let err = execute(&o).unwrap_err();
+            assert!(err.starts_with("unknown command `teleport`"), "{err}");
+        }
     }
 
     #[test]
@@ -1713,23 +1410,6 @@ mod tests {
         assert!(err.contains("interp") && err.contains("bytecode"), "{err}");
         // vm_config surfaces the same failure.
         assert!(o.vm_config(FaultPlan::new()).is_err());
-    }
-
-    #[test]
-    fn engine_and_icache_only_apply_to_vm_commands() {
-        for args in [
-            vec!["compile", "a.c", "--engine", "interp"],
-            vec!["compile", "a.c", "--icache"],
-            vec!["request", "--engine", "bytecode"],
-            vec!["request", "--icache"],
-        ] {
-            let o = Options::parse(&strs(&args)).unwrap();
-            let err = execute(&o).unwrap_err();
-            assert!(
-                err.contains("only apply to commands that execute code"),
-                "{args:?}: {err}"
-            );
-        }
     }
 
     #[test]
@@ -2114,79 +1794,170 @@ mod recovery_tests {
     }
 
     #[test]
-    fn opt_is_rejected_by_bench() {
-        for args in [vec!["bench", "--opt"], vec!["bench", "grep", "--opt"]] {
+    fn rejections_keep_their_messages() {
+        for (args, message) in [
+            (
+                vec!["inline", "x.c", "--journal", "j"],
+                "--journal/--resume/--force-resume only apply to campaign commands \
+                 (batch, fuzz), not `inline`",
+            ),
+            (
+                vec!["bench", "--explain"],
+                "--explain/--decisions-out only apply to `inline` (the command that \
+                 plans inline expansion), not `bench`",
+            ),
+            (
+                vec!["run", "x.c", "--trace-out", "t.json"],
+                "--trace-out/--metrics-out only apply to pipeline commands \
+                 (inline, bench, batch, fuzz, serve, request), not `run`",
+            ),
+            (
+                vec!["inline", "x.c", "--jobs", "2"],
+                "--jobs/--cache-dir/--cache-budget-bytes only apply to service \
+                 commands (batch, serve), not `inline`",
+            ),
+            (
+                vec!["run", "x.c", "--cache-dir", "/tmp/c"],
+                "--jobs/--cache-dir/--cache-budget-bytes only apply to service \
+                 commands (batch, serve), not `run`",
+            ),
+            (
+                vec!["run", "x.c", "--cache-budget-bytes", "64"],
+                "--jobs/--cache-dir/--cache-budget-bytes only apply to service \
+                 commands (batch, serve), not `run`",
+            ),
+            (
+                vec!["batch", "u.c", "--queue-depth", "4"],
+                "--queue-depth only applies to `serve` (the command with a bounded \
+                 request queue), not `batch`",
+            ),
+            (
+                vec!["request", "s.sock", "x.c", "--tcp", "h:1"],
+                "--tcp/--max-conns only apply to `serve` (the daemon that binds \
+                 listeners), not `request`",
+            ),
+            (
+                vec!["batch", "u.c", "--max-conns", "4"],
+                "--tcp/--max-conns only apply to `serve` (the daemon that binds \
+                 listeners), not `batch`",
+            ),
+            (
+                vec!["request", "s.sock", "x.c", "--remote", "a.sock"],
+                "--remote only applies to `batch` (shipping units to a daemon \
+                 fleet), not `request`",
+            ),
+            (
+                vec!["batch", "u.c", "--deadline-ms", "500"],
+                "--deadline-ms/--ping only apply to `request` (the client talking \
+                 to a serve daemon), not `batch`",
+            ),
+            (
+                vec!["serve", "s.sock", "--ping"],
+                "--deadline-ms/--ping only apply to `request` (the client talking \
+                 to a serve daemon), not `serve`",
+            ),
+            (
+                vec!["batch", "u.c", "--stats"],
+                "--stats/--stats-prom/--stats-json only apply to `request` (the \
+                 client interrogating a serve daemon), not `batch`",
+            ),
+            (
+                vec!["batch", "u.c", "--stats-prom"],
+                "--stats/--stats-prom/--stats-json only apply to `request` (the \
+                 client interrogating a serve daemon), not `batch`",
+            ),
+            (
+                vec!["batch", "u.c", "--stats-json"],
+                "--stats/--stats-prom/--stats-json only apply to `request` (the \
+                 client interrogating a serve daemon), not `batch`",
+            ),
+            (
+                vec!["bench", "--opt"],
+                "--opt only applies to commands that compile through the inline \
+                 pipeline (inline, batch, serve), not `bench`",
+            ),
+            (
+                vec!["bench", "grep", "--opt"],
+                "--opt only applies to commands that compile through the inline \
+                 pipeline (inline, batch, serve), not `bench`",
+            ),
+            (
+                vec!["request", "s.sock", "--flight-recorder", "8"],
+                "--flight-recorder only applies to `serve` (the daemon that keeps \
+                 the event ring), not `request`",
+            ),
+            (
+                vec!["run", "x.c", "--retries", "3"],
+                "--retries/--retry-base-ms only apply to the commands that retry \
+                 (batch supervision, request client), not `run`",
+            ),
+            (
+                vec!["fuzz", "--retry-base-ms", "5"],
+                "--retries/--retry-base-ms only apply to the commands that retry \
+                 (batch supervision, request client), not `fuzz`",
+            ),
+            (
+                vec!["compile", "a.c", "--engine", "interp"],
+                "--engine/--icache only apply to commands that execute code on the \
+                 VM (run, inline, callgraph, bench, batch, fuzz, serve), not `compile`",
+            ),
+            (
+                vec!["compile", "a.c", "--icache"],
+                "--engine/--icache only apply to commands that execute code on the \
+                 VM (run, inline, callgraph, bench, batch, fuzz, serve), not `compile`",
+            ),
+            (
+                vec!["request", "--engine", "bytecode"],
+                "--engine/--icache only apply to commands that execute code on the \
+                 VM (run, inline, callgraph, bench, batch, fuzz, serve), not `request`",
+            ),
+            (
+                vec!["request", "--icache"],
+                "--engine/--icache only apply to commands that execute code on the \
+                 VM (run, inline, callgraph, bench, batch, fuzz, serve), not `request`",
+            ),
+            (
+                vec!["bench", "grep", "--quiet"],
+                "--quiet only applies to commands that print IL (compile, inline), \
+                 not `bench`",
+            ),
+        ] {
             let o = Options::parse(&strs(&args)).unwrap();
-            let err = execute(&o).unwrap_err();
+            assert_eq!(execute(&o).unwrap_err(), message, "{args:?}");
+        }
+    }
+
+    #[test]
+    fn flags_a_command_ignores_are_rejected() {
+        for args in [
+            &["compile", "t.c", "--opt"][..],
+            &["compile", "t.c", "--threshold", "3"],
+            &["compile", "t.c", "--fuel", "5"],
+            &["compile", "t.c", "--profile-in", "p"],
+            &["compile", "t.c", "--report-dir", "d"],
+            &["run", "t.c", "--opt"],
+            &["run", "t.c", "--threshold", "3"],
+            &["run", "t.c", "--budget", "1.5"],
+            &["run", "t.c", "--seed", "3"],
+            &["inline", "t.c", "--seed", "3"],
+            &["inline", "t.c", "--workloads"],
+            &["inline", "t.c", "--time-limit-ms", "1"],
+            &["inline", "t.c", "--fault-unit", "t.c"],
+            &["callgraph", "t.c", "--fault", "vm:oom"],
+            &["fuzz", "--fuel", "5"],
+            &["batch", "u.c", "--quiet"],
+            &["serve", "s.sock", "--profile-out", "p"],
+            &["request", "s.sock", "t.c", "--threshold", "3"],
+        ] {
+            let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+            let err = execute(&Options::parse(&strs(args)).unwrap()).unwrap_err();
+            let (group, _) = err.split_once(" only appl").unwrap();
+            assert!(group.split('/').any(|n| n == *flag), "{args:?}: {err}");
             assert!(
-                err.contains("--opt only applies to") && err.contains("not `bench`"),
+                err.ends_with(&format!(", not `{}`", args[0])),
                 "{args:?}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn observability_flags_are_scoped_to_their_commands() {
-        // Stats snapshots are a request-client interrogation...
-        for flag in ["--stats", "--stats-prom", "--stats-json"] {
-            let o = Options::parse(&strs(&["batch", "u.c", flag])).unwrap();
-            let err = execute(&o).unwrap_err();
-            assert!(err.contains("--stats"), "{flag}: unactionable: {err}");
-        }
-        // ...and the flight-recorder ring lives in the daemon.
-        let o = Options::parse(&strs(&["request", "s.sock", "--flight-recorder", "8"])).unwrap();
-        let err = execute(&o).unwrap_err();
-        assert!(err.contains("--flight-recorder"), "unactionable: {err}");
-    }
-
-    #[test]
-    fn transport_flags_are_scoped_to_their_commands() {
-        // --tcp and --max-conns belong to the daemon...
-        let o = Options::parse(&strs(&["request", "s.sock", "x.c", "--tcp", "h:1"])).unwrap();
-        let err = execute(&o).unwrap_err();
-        assert!(err.contains("--tcp"), "unactionable message: {err}");
-        let o = Options::parse(&strs(&["batch", "u.c", "--max-conns", "4"])).unwrap();
-        let err = execute(&o).unwrap_err();
-        assert!(err.contains("--max-conns"), "unactionable message: {err}");
-        // ...and --remote to batch.
-        let o = Options::parse(&strs(&["request", "s.sock", "x.c", "--remote", "a.sock"])).unwrap();
-        let err = execute(&o).unwrap_err();
-        assert!(err.contains("--remote"), "unactionable message: {err}");
-    }
-
-    #[test]
-    fn service_flags_are_scoped_to_service_commands() {
-        let o = Options::parse(&strs(&["inline", "x.c", "--jobs", "2"])).unwrap();
-        let err = execute(&o).unwrap_err();
-        assert!(err.contains("--jobs"), "unactionable message: {err}");
-        let o = Options::parse(&strs(&["run", "x.c", "--cache-dir", "/tmp/c"])).unwrap();
-        let err = execute(&o).unwrap_err();
-        assert!(err.contains("--cache-dir"), "unactionable message: {err}");
-        // --queue-depth is serve-only: even batch rejects it.
-        let o = Options::parse(&strs(&["batch", "u.c", "--queue-depth", "4"])).unwrap();
-        let err = execute(&o).unwrap_err();
-        assert!(err.contains("--queue-depth"), "unactionable message: {err}");
-        // --cache-budget-bytes is service-only, like --cache-dir.
-        let o = Options::parse(&strs(&["run", "x.c", "--cache-budget-bytes", "64"])).unwrap();
-        let err = execute(&o).unwrap_err();
-        assert!(err.contains("--cache-budget-bytes"), "unactionable: {err}");
-        // The client knobs are request-only.
-        let o = Options::parse(&strs(&["batch", "u.c", "--deadline-ms", "500"])).unwrap();
-        let err = execute(&o).unwrap_err();
-        assert!(err.contains("--deadline-ms"), "unactionable message: {err}");
-        let o = Options::parse(&strs(&["serve", "s.sock", "--ping"])).unwrap();
-        let err = execute(&o).unwrap_err();
-        assert!(err.contains("--ping"), "unactionable message: {err}");
-        // Retry knobs belong to the two retrying commands only.
-        let o = Options::parse(&strs(&["run", "x.c", "--retries", "3"])).unwrap();
-        let err = execute(&o).unwrap_err();
-        assert!(err.contains("--retries"), "unactionable message: {err}");
-        let o = Options::parse(&strs(&["fuzz", "--retry-base-ms", "5"])).unwrap();
-        let err = execute(&o).unwrap_err();
-        assert!(
-            err.contains("--retry-base-ms"),
-            "unactionable message: {err}"
-        );
     }
 
     #[test]
@@ -2197,6 +1968,18 @@ mod recovery_tests {
             "int main() { int i; int s; s = 0; for (i = 0; i < 100000; i++) s += i; return s & 1; }",
         );
         let o = Options::parse(&strs(&["run", &src, "--fuel", "50"])).unwrap();
+        let err = execute(&o).unwrap_err();
+        assert!(err.contains("instruction budget"), "{err}");
+    }
+
+    #[test]
+    fn fuel_flag_bounds_the_callgraph_profiling_run() {
+        let src = write_src(
+            "impactc-governor-callgraph",
+            "g.c",
+            "int f(int x) { return x; } int main() { return f(1); }",
+        );
+        let o = Options::parse(&strs(&["callgraph", &src, "--fuel", "1"])).unwrap();
         let err = execute(&o).unwrap_err();
         assert!(err.contains("instruction budget"), "{err}");
     }

@@ -6,9 +6,8 @@
 //! The `--explain` table and the `--decisions-out` JSON are two views
 //! over the *same* [`SiteDecision`] list the expander recorded, so they
 //! agree record for record by construction. Artifact writing goes
-//! through the staging + fsync + rename path crash reports use
-//! ([`crate::report::atomic_write_path`] /
-//! [`crate::report::atomic_write_in`]), so a crash mid-write never
+//! through the temp-file + fsync + rename path of
+//! [`crate::report::atomic_write_path`], so a crash mid-write never
 //! leaves a torn telemetry file. Telemetry flags are deliberately absent
 //! from [`crate::journal::campaign_fingerprint`]: an instrumented resume
 //! must replay an uninstrumented campaign byte-identically.
@@ -19,7 +18,7 @@ use std::path::Path;
 use impact_inline::{SiteDecision, UnsafeReason};
 use impact_obs::Telemetry;
 
-use crate::report::{atomic_write_in, atomic_write_path, json_str};
+use crate::report::{atomic_write_path, json_str};
 use crate::Options;
 
 /// Schema version of the `--decisions-out` document.
@@ -231,11 +230,8 @@ pub fn run_bench_suite(opts: &Options, obs: &Telemetry) -> Result<(i32, String),
     }
     let dir = std::path::PathBuf::from(opts.report_dir.as_deref().unwrap_or("."));
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create `{}`: {e}", dir.display()))?;
-    let path = atomic_write_in(
-        &dir,
-        "BENCH_inline.json",
-        bench_json(&cfg, &evals, &failures).as_bytes(),
-    )?;
+    let path = dir.join("BENCH_inline.json");
+    atomic_write_path(&path, bench_json(&cfg, &evals, &failures).as_bytes())?;
     let _ = writeln!(out, "; wrote {}", path.display());
     Ok((0, out))
 }

@@ -317,9 +317,7 @@ fn bench_suite_writes_paper_style_report() {
             .any(|l| l.trim_start().starts_with("{\"name\":")),
         "no benchmark entries: {json}"
     );
-    // The staging scratch dir never leaks a temp file.
-    let staging = dir.join(".staging");
-    if staging.is_dir() {
-        assert_eq!(std::fs::read_dir(&staging).unwrap().count(), 0);
-    }
+    // The report is published without a staging dir or a temp file.
+    assert!(!dir.join(".staging").exists());
+    assert!(!dir.join("BENCH_inline.json.tmp").exists());
 }
