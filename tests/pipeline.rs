@@ -217,3 +217,68 @@ fn facade_pipeline_runs_a_workload() {
     assert_eq!(report.exit_before, report.exit_after);
     assert!(report.calls_after < report.calls_before / 2);
 }
+
+/// FNV-1a, 64-bit: a stable digest for pinning exact optimizer output.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// Pins the post-inline optimizer's exact output on generated units, as
+/// `inline --opt` runs it: optimized module text, change totals, skipped
+/// passes and fixpoint diagnostics, with `opt:pass` unarmed and armed at
+/// several invocation counts so the panic-recovery path runs too. The
+/// plain `optimize_module` must agree with the isolated loop when no
+/// fault is armed.
+#[test]
+fn optimizer_output_is_pinned() {
+    use impact::opt::{optimize_module, optimize_module_observed};
+    use impact::vm::FaultPlan;
+    use impact_obs::Telemetry;
+
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    let mut skipped_total = 0;
+    for i in 0..100 {
+        let src = impact::fuzz::generate(impact::fuzz::program_seed(1, i));
+        let mut module = compile_one(&src);
+        let profile = run(&module, vec![], vec![], &VmConfig::default())
+            .expect("generated units run")
+            .profile;
+        inline_module(&mut module, &profile.averaged(), &InlineConfig::default());
+        for nth in [None, Some(1), Some(4), Some(9), Some(20)] {
+            let fault = FaultPlan::new();
+            if let Some(n) = nth {
+                fault.arm("opt:pass", n);
+            }
+            let mut m = module.clone();
+            let (changes, skipped, fixpoints) =
+                optimize_module_observed(&mut m, &fault, &Telemetry::disabled());
+            let text = impact::il::module_to_string(&m);
+            fnv1a(&mut digest, text.as_bytes());
+            fnv1a(&mut digest, &changes.to_le_bytes());
+            for s in &skipped {
+                fnv1a(
+                    &mut digest,
+                    format!("{}|{}|{}", s.func, s.pass, s.reason).as_bytes(),
+                );
+            }
+            for fx in &fixpoints {
+                fnv1a(&mut digest, fx.to_string().as_bytes());
+            }
+            skipped_total += skipped.len();
+            if nth.is_none() {
+                assert!(skipped.is_empty());
+                let mut plain = module.clone();
+                assert_eq!(optimize_module(&mut plain), changes, "unit {i}");
+                assert_eq!(impact::il::module_to_string(&plain), text, "unit {i}");
+            }
+        }
+    }
+    assert_eq!(skipped_total, 400, "every armed setting skipped one pass");
+    assert_eq!(
+        digest, 0x635d_c7e7_f69c_c239,
+        "optimizer output drifted: {digest:#018x}"
+    );
+}
