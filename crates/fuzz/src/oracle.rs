@@ -38,7 +38,7 @@ use std::fmt;
 use impact_cfront::{compile, Source};
 use impact_il::verify_module;
 use impact_inline::{inline_module, positions_of, ClassTotals, InlineConfig, Linearization};
-use impact_opt::optimize_module_isolated;
+use impact_opt::optimize_module_observed;
 use impact_vm::{profile_runs, Engine, FaultPlan, Profile, RunOutcome, VmConfig, VmError};
 
 /// Oracle-wide knobs.
@@ -352,7 +352,8 @@ pub fn check_source(src: &str, oc: &OracleConfig) -> OracleReport {
             for spec in &oc.fault_specs {
                 let _ = fault.arm_spec(spec);
             }
-            let _ = optimize_module_isolated(&mut m, &fault);
+            // `Default` is the disabled telemetry handle.
+            let _ = optimize_module_observed(&mut m, &fault, &Default::default());
         }
         if let Err(errors) = verify_module(&m) {
             div(

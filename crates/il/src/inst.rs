@@ -302,6 +302,34 @@ impl Inst {
         }
     }
 
+    /// Like [`Inst::for_each_use`], but `f` may rewrite each register.
+    pub fn for_each_use_mut(&mut self, mut f: impl FnMut(&mut Reg)) {
+        match self {
+            Inst::Const { .. }
+            | Inst::AddrOfGlobal { .. }
+            | Inst::AddrOfSlot { .. }
+            | Inst::AddrOfFunc { .. } => {}
+            Inst::Mov { src, .. } | Inst::Un { src, .. } | Inst::Ext { src, .. } => f(src),
+            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            Inst::Load { addr, .. } => f(addr),
+            Inst::Store { addr, src, .. } => {
+                f(addr);
+                f(src);
+            }
+            Inst::Call { callee, args, .. } => {
+                if let Callee::Reg(r) = callee {
+                    f(r);
+                }
+                for a in args {
+                    f(a);
+                }
+            }
+        }
+    }
+
     /// Whether this instruction has an effect beyond writing its
     /// destination register (memory writes, calls).
     ///

@@ -9,9 +9,9 @@
 //! Registers are versioned so that redefinitions invalidate stale
 //! availability facts — necessary because the IL is not SSA.
 
-use std::collections::HashMap;
-
 use impact_il::{BinOp, CmpOp, Function, Inst, Reg, UnOp, Width};
+
+use crate::tables::FxHashMap;
 
 /// A versioned operand: the register plus the definition generation its
 /// value was read at.
@@ -34,11 +34,13 @@ enum Key {
 /// instructions replaced by copies.
 pub fn local_cse(func: &mut Function) -> usize {
     let mut changed = 0;
-    let nregs = func.num_regs as usize;
+    // Versions count definitions across the whole function. Facts never
+    // outlive their block, so only equality within a block matters.
+    let mut version = vec![0u32; func.num_regs as usize];
+    // available[key] = (holder register, holder's version at insert).
+    let mut available: FxHashMap<Key, VReg> = FxHashMap::default();
     for block in &mut func.blocks {
-        let mut version = vec![0u32; nregs];
-        // available[key] = (holder register, holder's version at insert).
-        let mut available: HashMap<Key, VReg> = HashMap::new();
+        available.clear();
         for inst in &mut block.insts {
             let v = |r: Reg, version: &Vec<u32>| (r, version[r.index()]);
             let key = match inst {

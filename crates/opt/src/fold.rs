@@ -4,11 +4,10 @@
 //! block boundaries, which keeps the passes linear and trivially correct
 //! for non-SSA code.
 
-use std::collections::HashMap;
-
 use impact_il::{Function, Inst, Reg, Terminator};
 
-use crate::{eval_bin_const, eval_cmp_const, eval_ext_const, eval_un_const, rewrite_uses};
+use crate::tables::RegMap;
+use crate::{eval_bin_const, eval_cmp_const, eval_ext_const, eval_un_const};
 
 /// Folds constant operations and propagates known constants within each
 /// block. A `Branch` on a known condition becomes a `Jump` (the seed for
@@ -17,18 +16,19 @@ use crate::{eval_bin_const, eval_cmp_const, eval_ext_const, eval_un_const, rewri
 /// Returns the number of instructions or terminators rewritten.
 pub fn constant_fold(func: &mut Function) -> usize {
     let mut changed = 0;
+    let mut known: RegMap<i64> = RegMap::new(func.num_regs);
     for block in &mut func.blocks {
-        let mut known: HashMap<Reg, i64> = HashMap::new();
+        known.clear();
         for inst in &mut block.insts {
             let rewritten = match *inst {
-                Inst::Mov { dst, src } => known.get(&src).map(|&v| (dst, v)),
-                Inst::Un { op, dst, src } => known.get(&src).map(|&v| (dst, eval_un_const(op, v))),
-                Inst::Bin { op, dst, lhs, rhs } => match (known.get(&lhs), known.get(&rhs)) {
-                    (Some(&a), Some(&b)) => eval_bin_const(op, a, b).map(|v| (dst, v)),
+                Inst::Mov { dst, src } => known.get(src).map(|v| (dst, v)),
+                Inst::Un { op, dst, src } => known.get(src).map(|v| (dst, eval_un_const(op, v))),
+                Inst::Bin { op, dst, lhs, rhs } => match (known.get(lhs), known.get(rhs)) {
+                    (Some(a), Some(b)) => eval_bin_const(op, a, b).map(|v| (dst, v)),
                     _ => None,
                 },
-                Inst::Cmp { op, dst, lhs, rhs } => match (known.get(&lhs), known.get(&rhs)) {
-                    (Some(&a), Some(&b)) => Some((dst, eval_cmp_const(op, a, b))),
+                Inst::Cmp { op, dst, lhs, rhs } => match (known.get(lhs), known.get(rhs)) {
+                    (Some(a), Some(b)) => Some((dst, eval_cmp_const(op, a, b))),
                     _ => None,
                 },
                 Inst::Ext {
@@ -37,8 +37,8 @@ pub fn constant_fold(func: &mut Function) -> usize {
                     width,
                     signed,
                 } => known
-                    .get(&src)
-                    .map(|&v| (dst, eval_ext_const(v, width, signed))),
+                    .get(src)
+                    .map(|v| (dst, eval_ext_const(v, width, signed))),
                 _ => None,
             };
             if let Some((dst, value)) = rewritten {
@@ -46,13 +46,11 @@ pub fn constant_fold(func: &mut Function) -> usize {
                 changed += 1;
             }
             // Update the constant map.
-            match inst {
-                Inst::Const { dst, value } => {
-                    known.insert(*dst, *value);
-                }
-                other => {
+            match *inst {
+                Inst::Const { dst, value } => known.insert(dst, value),
+                ref other => {
                     if let Some(d) = other.def() {
-                        known.remove(&d);
+                        known.remove(d);
                     }
                 }
             }
@@ -63,7 +61,7 @@ pub fn constant_fold(func: &mut Function) -> usize {
             else_to,
         } = block.term
         {
-            if let Some(&v) = known.get(&cond) {
+            if let Some(v) = known.get(cond) {
                 block.term = Terminator::Jump(if v != 0 { then_to } else { else_to });
                 changed += 1;
             }
@@ -80,42 +78,48 @@ pub fn constant_fold(func: &mut Function) -> usize {
 /// expansion introduces (§2.4: "copy propagation and other optimizations
 /// can be applied to eliminate unnecessary overhead instructions").
 ///
-/// Returns the number of uses rewritten.
+/// Returns the number of instructions and terminators rewritten.
 pub fn copy_propagation(func: &mut Function) -> usize {
     let mut changed = 0;
+    // defs[s] counts the definitions of s so far. A copy fact `r = s` is
+    // recorded with defs[s] at that point, so redefining s invalidates
+    // every fact that reads it without a sweep over the map.
+    let mut defs = vec![0u32; func.num_regs as usize];
+    // copy_of[r] = (s, n) means "r holds the value register s had after
+    // its n-th def".
+    let mut copy_of: RegMap<(u32, u32)> = RegMap::new(func.num_regs);
+    let resolve = |r: Reg, copy_of: &RegMap<(u32, u32)>, defs: &[u32]| match copy_of.get(r) {
+        Some((s, n)) if defs[s as usize] == n => Some(Reg(s)),
+        _ => None,
+    };
     for block in &mut func.blocks {
-        // copy_of[r] = s means "r currently holds the same value as s".
-        let mut copy_of: HashMap<Reg, Reg> = HashMap::new();
+        copy_of.clear();
         for inst in &mut block.insts {
             // Resolve uses through the copy map first.
-            let before = inst.clone();
-            rewrite_uses(inst, &copy_of);
-            if *inst != before {
-                changed += 1;
-            }
-            // Kill facts about the redefined register (both directions).
+            let mut rewrote = false;
+            inst.for_each_use_mut(|r| {
+                if let Some(s) = resolve(*r, &copy_of, &defs) {
+                    *r = s;
+                    rewrote = true;
+                }
+            });
+            changed += usize::from(rewrote);
             if let Some(d) = inst.def() {
-                copy_of.remove(&d);
-                copy_of.retain(|_, v| *v != d);
+                copy_of.remove(d);
+                defs[d.index()] += 1;
             }
             // Record a new copy fact.
             if let Inst::Mov { dst, src } = *inst {
                 if dst != src {
-                    copy_of.insert(dst, src);
+                    copy_of.insert(dst, (src.0, defs[src.index()]));
                 }
             }
         }
         // Rewrite terminator uses too.
         match &mut block.term {
-            Terminator::Branch { cond, .. } => {
-                if let Some(&n) = copy_of.get(cond) {
-                    *cond = n;
-                    changed += 1;
-                }
-            }
-            Terminator::Return(Some(r)) => {
-                if let Some(&n) = copy_of.get(r) {
-                    *r = n;
+            Terminator::Branch { cond: r, .. } | Terminator::Return(Some(r)) => {
+                if let Some(s) = resolve(*r, &copy_of, &defs) {
+                    *r = s;
                     changed += 1;
                 }
             }

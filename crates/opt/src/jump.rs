@@ -6,11 +6,7 @@
 //! bodies" (§4.4); this pass is what removes that overhead when the
 //! optimizer runs after expansion.
 
-use std::collections::HashMap;
-
-use impact_il::{BlockId, Function, Terminator};
-
-use crate::predecessors;
+use impact_il::{Block, BlockId, Function, Terminator};
 
 /// Runs all jump optimizations to a local fixpoint. Returns the number of
 /// rewrites performed.
@@ -101,57 +97,55 @@ fn remove_unreachable_blocks(func: &mut Function) -> usize {
     if reachable.iter().all(|&r| r) {
         return 0;
     }
-    let mut remap: HashMap<BlockId, BlockId> = HashMap::new();
+    // remap[old index] = new id; only reachable blocks are looked up.
+    let mut remap = vec![BlockId(0); n];
     let mut kept = Vec::with_capacity(n);
     for (i, block) in std::mem::take(&mut func.blocks).into_iter().enumerate() {
         if reachable[i] {
-            remap.insert(BlockId::from_index(i), BlockId::from_index(kept.len()));
+            remap[i] = BlockId::from_index(kept.len());
             kept.push(block);
         }
     }
     let removed = n - kept.len();
     func.blocks = kept;
     for b in &mut func.blocks {
-        b.term.map_successors(|t| remap[&t]);
+        b.term.map_successors(|t| remap[t.index()]);
     }
     removed
 }
 
 /// Merges `A: ...; jump B` with `B` when `B`'s only predecessor is `A`
-/// (and `B != A`), splicing `B`'s instructions into `A`.
+/// (and `B` is neither `A` nor the entry block), splicing `B`'s
+/// instructions into `A`. Reports two changes per merge: the splice and
+/// the removal of the emptied `B`.
+///
+/// One sweep in block order finds every merge: a merge moves `B`'s
+/// out-edges to `A`, so no other block's predecessor count changes, and
+/// only `A` itself can become mergeable again.
 fn merge_straight_line(func: &mut Function) -> usize {
-    let mut changed = 0;
-    loop {
-        let preds = predecessors(func);
-        let mut merged = false;
-        for a in 0..func.blocks.len() {
-            let Terminator::Jump(b) = func.blocks[a].term else {
-                continue;
-            };
+    let mut preds = vec![0u32; func.blocks.len()];
+    for b in &func.blocks {
+        b.term.for_each_successor(|s| preds[s.index()] += 1);
+    }
+    let mut merges = 0;
+    for a in 0..func.blocks.len() {
+        while let Terminator::Jump(b) = func.blocks[a].term {
             let bi = b.index();
-            if bi == a || preds[bi].len() != 1 {
-                continue;
+            if bi == a || bi == 0 || preds[bi] != 1 {
+                break;
             }
-            // Splice B into A.
-            let b_block = func.blocks[bi].clone();
+            // B keeps no edges, so the final cleanup removes it.
+            let b_block =
+                std::mem::replace(&mut func.blocks[bi], Block::new(Terminator::Return(None)));
             func.blocks[a].insts.extend(b_block.insts);
             func.blocks[a].term = b_block.term;
-            // B becomes unreachable; the next remove_unreachable_blocks
-            // call cleans it up. Make it self-contained so the CFG stays
-            // valid meanwhile.
-            func.blocks[bi].insts.clear();
-            func.blocks[bi].term = Terminator::Return(None);
-            changed += 1;
-            merged = true;
-            break; // predecessor lists are stale now; recompute
+            merges += 1;
         }
-        if !merged {
-            break;
-        }
-        // Clean up the detached block before the next scan.
-        changed += remove_unreachable_blocks(func);
     }
-    changed
+    if merges == 0 {
+        return 0;
+    }
+    merges + remove_unreachable_blocks(func)
 }
 
 #[cfg(test)]
@@ -278,5 +272,35 @@ mod tests {
         jump_optimization(&mut f);
         // join must still exist separately (4 blocks stay 4).
         assert_eq!(f.blocks.len(), 4);
+    }
+
+    #[test]
+    fn never_merges_the_entry_block_into_a_predecessor() {
+        // The entry is a loop header whose one predecessor is the loop
+        // body. Splicing the entry into the body would leave block 0
+        // empty and make the function return at once.
+        let mut fb = FunctionBuilder::new("t", 1);
+        let body = fb.new_block();
+        let exit = fb.new_block();
+        fb.terminate(Terminator::Branch {
+            cond: Reg(0),
+            then_to: body,
+            else_to: exit,
+        });
+        fb.switch_to(body);
+        let one = fb.const_(1);
+        fb.push(Inst::Bin {
+            op: impact_il::BinOp::Sub,
+            dst: Reg(0),
+            lhs: Reg(0),
+            rhs: one,
+        });
+        fb.terminate(Terminator::Jump(BlockId(0)));
+        fb.switch_to(exit);
+        fb.terminate(Terminator::Return(Some(Reg(0))));
+        let mut f = fb.finish();
+        let before = f.clone();
+        assert_eq!(jump_optimization(&mut f), 0);
+        assert_eq!(f, before);
     }
 }

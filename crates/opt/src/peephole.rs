@@ -6,31 +6,28 @@
 //! of two become shifts/masks, and identity operations collapse into
 //! copies — the standard strength reductions of the paper's era.
 
-use std::collections::HashMap;
-
 use impact_il::{BinOp, Function, Inst, Reg};
+
+use crate::tables::RegMap;
 
 /// Runs the peephole over every block. Returns the number of rewrites.
 pub fn strength_reduce(func: &mut Function) -> usize {
     let mut changed = 0;
+    let mut known: RegMap<i64> = RegMap::new(func.num_regs);
     for block in &mut func.blocks {
-        let mut known: HashMap<Reg, i64> = HashMap::new();
+        known.clear();
         for inst in &mut block.insts {
             if let Inst::Bin { op, dst, lhs, rhs } = *inst {
-                let lk = known.get(&lhs).copied();
-                let rk = known.get(&rhs).copied();
-                if let Some(rewritten) = reduce(op, dst, lhs, rhs, lk, rk) {
+                if let Some(rewritten) = reduce(op, dst, lhs, rhs, known.get(lhs), known.get(rhs)) {
                     *inst = rewritten;
                     changed += 1;
                 }
             }
-            match inst {
-                Inst::Const { dst, value } => {
-                    known.insert(*dst, *value);
-                }
-                other => {
+            match *inst {
+                Inst::Const { dst, value } => known.insert(dst, value),
+                ref other => {
                     if let Some(d) = other.def() {
-                        known.remove(&d);
+                        known.remove(d);
                     }
                 }
             }

@@ -19,7 +19,8 @@
 use impact_cfront::{compile, Source};
 use impact_il::{verify_module, Module};
 use impact_inline::{inline_module, InlineConfig, Linearization};
-use impact_opt::optimize_module_isolated;
+use impact_obs::Telemetry;
+use impact_opt::optimize_module_observed;
 use impact_vm::{profile_runs, run, Engine, FaultPlan, IcacheConfig, NamedFile, Profile, VmConfig};
 use impact_workloads::all_benchmarks;
 
@@ -104,7 +105,7 @@ fn transformed(base: &Module, avg: &Profile, point: &LatticePoint) -> Module {
         let _ = inline_module(&mut module, avg, cfg);
     }
     if point.opt {
-        let _ = optimize_module_isolated(&mut module, &FaultPlan::new());
+        let _ = optimize_module_observed(&mut module, &FaultPlan::new(), &Telemetry::disabled());
     }
     verify_module(&module).unwrap_or_else(|e| {
         panic!(
