@@ -9,34 +9,9 @@
 //! Each prints achieved call elimination and code growth per setting,
 //! averaged over the suite (use `--bench <name>` for one benchmark).
 
-use impact_bench::{mean_sd, prepared_module, profile_benchmark, row, HarnessConfig};
-use impact_inline::{inline_module, InlineConfig, Linearization};
+use impact_bench::{evaluate, mean_sd, row, HarnessConfig};
+use impact_inline::{InlineConfig, Linearization};
 use impact_workloads::{all_benchmarks, Benchmark};
-
-struct Outcome {
-    call_dec: f64,
-    code_inc: f64,
-    expanded: usize,
-}
-
-fn measure(b: &Benchmark, cfg: &HarnessConfig) -> Outcome {
-    let module = prepared_module(b).expect("compiles");
-    let merged = profile_benchmark(b, &module, cfg).expect("profiles");
-    let averaged = merged.averaged();
-    let mut inlined = module.clone();
-    let report = inline_module(&mut inlined, &averaged, &cfg.inline);
-    let merged_after = profile_benchmark(b, &inlined, cfg).expect("re-profiles");
-    let call_dec = if merged.calls == 0 {
-        0.0
-    } else {
-        100.0 * merged.calls.saturating_sub(merged_after.calls) as f64 / merged.calls as f64
-    };
-    Outcome {
-        call_dec,
-        code_inc: report.code_increase_percent(),
-        expanded: report.expanded.len(),
-    }
-}
 
 fn sweep(
     benchmarks: &[Benchmark],
@@ -64,10 +39,13 @@ fn sweep(
             inline,
             ..HarnessConfig::default()
         };
-        let outcomes: Vec<Outcome> = benchmarks.iter().map(|b| measure(b, &cfg)).collect();
-        let decs: Vec<f64> = outcomes.iter().map(|o| o.call_dec).collect();
-        let incs: Vec<f64> = outcomes.iter().map(|o| o.code_inc).collect();
-        let arcs: usize = outcomes.iter().map(|o| o.expanded).sum();
+        let evals: Vec<_> = benchmarks
+            .iter()
+            .map(|b| evaluate(b, &cfg).expect("evaluation runs"))
+            .collect();
+        let decs: Vec<f64> = evals.iter().map(|e| e.call_dec_percent).collect();
+        let incs: Vec<f64> = evals.iter().map(|e| e.code_inc_percent).collect();
+        let arcs: usize = evals.iter().map(|e| e.report.expanded.len()).sum();
         println!(
             "{}",
             row(

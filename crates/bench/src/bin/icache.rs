@@ -12,7 +12,7 @@
 //! [--size KB] [--assoc N] [--layout]`
 
 use impact_bench::{mean_sd, prepared_module, row, HarnessConfig};
-use impact_inline::inline_module;
+use impact_inline::inline_guarded;
 use impact_opt::reorder_blocks;
 use impact_vm::{run, IcacheConfig, IcacheStats, VmConfig};
 
@@ -81,9 +81,8 @@ fn main() {
         let runs = b.profile_run_set(hcfg.max_runs);
         let before = accumulate(&module, &runs, &vm);
 
-        let profile = impact_bench::profile_benchmark(&b, &module, &hcfg).expect("profiles");
-        let mut inlined = module.clone();
-        inline_module(&mut inlined, &profile.averaged(), &hcfg.inline);
+        let g = inline_guarded(&module, &runs, &hcfg.inline, &hcfg.vm, None).expect("inlines");
+        let inlined = g.module;
         let after = accumulate(&inlined, &runs, &vm);
 
         let b_ratio = 100.0 * before.miss_ratio();
@@ -97,10 +96,9 @@ fn main() {
             format!("{a_ratio:.3}%"),
         ];
         let final_ratio = if with_layout {
-            // Re-profile the inlined module to get block counts that
-            // match its shape, then lay blocks out along the hot paths.
-            let inlined_profile =
-                impact_bench::profile_benchmark(&b, &inlined, &hcfg).expect("re-profiles");
+            // The re-profile's block counts match the inlined module's
+            // shape: lay its blocks out along the hot paths.
+            let (_, inlined_profile) = g.after.expect("re-profiles");
             let mut arranged = inlined.clone();
             for (fi, f) in arranged.functions.iter_mut().enumerate() {
                 reorder_blocks(

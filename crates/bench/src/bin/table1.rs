@@ -8,11 +8,7 @@
 use impact_bench::{evaluate, row, HarnessConfig};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let cfg = HarnessConfig {
-        max_runs: if quick { 2 } else { u32::MAX },
-        ..HarnessConfig::default()
-    };
+    let cfg = HarnessConfig::from_args();
     let widths = [10, 8, 6, 10, 10, 34];
     println!("Table 1. Benchmark characteristics.");
     println!(

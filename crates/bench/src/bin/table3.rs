@@ -3,75 +3,11 @@
 //! central observation: the small set of safe static sites accounts for
 //! most dynamic calls.
 
-use impact_bench::{evaluate, mean_sd, row, HarnessConfig};
-use impact_inline::SiteClass;
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let cfg = HarnessConfig {
-        max_runs: if quick { 2 } else { u32::MAX },
-        ..HarnessConfig::default()
-    };
-    let widths = [10, 11, 10, 9, 8, 7];
-    println!("Table 3. Dynamic function call behavior.");
-    println!(
-        "{}",
-        row(
-            &[
-                "benchmark".into(),
-                "calls/run".into(),
-                "external".into(),
-                "pointer".into(),
-                "unsafe".into(),
-                "safe".into(),
-            ],
-            &widths,
-        )
-    );
-    let mut per_class: [Vec<f64>; 4] = Default::default();
-    for b in impact_workloads::all_benchmarks() {
-        let e = evaluate(&b, &cfg).expect("evaluation runs");
-        let t = e.dynamic_totals;
-        let pct = [
-            t.percent(SiteClass::External),
-            t.percent(SiteClass::Pointer),
-            t.percent(SiteClass::Unsafe),
-            t.percent(SiteClass::Safe),
-        ];
-        for (acc, p) in per_class.iter_mut().zip(pct) {
-            acc.push(p);
-        }
-        println!(
-            "{}",
-            row(
-                &[
-                    e.name.clone(),
-                    t.total().to_string(),
-                    format!("{:.1}%", pct[0]),
-                    format!("{:.1}%", pct[1]),
-                    format!("{:.1}%", pct[2]),
-                    format!("{:.1}%", pct[3]),
-                ],
-                &widths,
-            )
-        );
-    }
-    let avgs: Vec<String> = per_class
-        .iter()
-        .map(|v| format!("{:.1}%", mean_sd(v).0))
-        .collect();
-    println!(
-        "{}",
-        row(
-            &[
-                "AVG".into(),
-                "".into(),
-                avgs[0].clone(),
-                avgs[1].clone(),
-                avgs[2].clone(),
-                avgs[3].clone(),
-            ],
-            &widths,
-        )
+    impact_bench::print_class_table(
+        "Table 3. Dynamic function call behavior.",
+        "calls/run",
+        11,
+        |e| e.dynamic_totals,
     );
 }

@@ -7,12 +7,8 @@
 use impact_bench::{evaluate, mean_sd, row, HarnessConfig};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     let post_mix = std::env::args().any(|a| a == "--post-mix");
-    let cfg = HarnessConfig {
-        max_runs: if quick { 2 } else { u32::MAX },
-        ..HarnessConfig::default()
-    };
+    let cfg = HarnessConfig::from_args();
     let widths = [10, 9, 9, 13, 13];
     println!("Table 4. Inline expansion results.");
     println!(

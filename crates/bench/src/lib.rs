@@ -8,9 +8,11 @@
 //!    expansion (§4.4: "constant folding and jump optimization were
 //!    applied before the inline expansion procedure, but not after it");
 //! 3. profile over the benchmark's representative inputs (Table 1's
-//!    `runs` column) and average;
-//! 4. classify call sites (Tables 2 and 3);
-//! 5. inline-expand and re-profile the same inputs (Table 4).
+//!    `runs` column), inline-expand, and re-profile the same inputs
+//!    (Table 4) — all one call of [`impact_inline::inline_guarded`],
+//!    the guarded pipeline `impactc` compiles through;
+//! 4. classify the call sites under the averaged baseline profile
+//!    (Tables 2 and 3).
 //!
 //! Numbers will not equal the paper's absolute values (different
 //! programs, different decade); what reproduces is the *shape* — see
@@ -21,10 +23,19 @@
 
 use impact_callgraph::CallGraph;
 use impact_il::Module;
-use impact_inline::{classify, inline_module, ClassTotals, InlineConfig, InlineReport};
+use impact_inline::{
+    call_decrease_percent, classify, inline_guarded, ClassTotals, InlineConfig, InlineReport,
+    SiteClass,
+};
 use impact_opt::{constant_fold, jump_optimization};
-use impact_vm::{profile_runs, Profile, VmConfig, VmError};
+use impact_vm::VmConfig;
 use impact_workloads::Benchmark;
+
+/// The code-growth budget that reproduces the paper's Table 4 trade-off
+/// (~17% growth for ~59% call elimination; see the `ablate budget`
+/// sweep): the harness default, and the `impactc bench` suite's unless
+/// `--budget` overrides it.
+pub const PAPER_CODE_GROWTH_LIMIT: f64 = 1.2;
 
 /// Everything measured for one benchmark: the union of what Tables 1–4
 /// report.
@@ -78,19 +89,70 @@ impl Default for HarnessConfig {
     fn default() -> Self {
         HarnessConfig {
             max_runs: u32::MAX,
-            // A 1.2x code budget is the operating point that reproduces
-            // the paper's Table 4 trade-off (~17% growth for ~59% call
-            // elimination); see the `ablate budget` sweep.
             inline: InlineConfig {
-                code_growth_limit: 1.2,
+                code_growth_limit: PAPER_CODE_GROWTH_LIMIT,
                 ..InlineConfig::default()
             },
-            vm: VmConfig {
-                max_steps: 2_000_000_000,
-                ..VmConfig::default()
-            },
+            vm: VmConfig::default(),
         }
     }
+}
+
+impl HarnessConfig {
+    /// The tables' configuration: every representative input, or two per
+    /// benchmark when the command line says `--quick`.
+    pub fn from_args() -> Self {
+        let quick = std::env::args().any(|a| a == "--quick");
+        HarnessConfig {
+            max_runs: if quick { 2 } else { u32::MAX },
+            ..HarnessConfig::default()
+        }
+    }
+}
+
+/// The call-site classes in the tables' column order.
+pub const CLASSES: [SiteClass; 4] = [
+    SiteClass::External,
+    SiteClass::Pointer,
+    SiteClass::Unsafe,
+    SiteClass::Safe,
+];
+
+/// Prints Table 2 or 3: per benchmark, the total of the class counts
+/// `pick` selects (under `total_header`, `total_width` wide) and each
+/// class's share of it, then the average shares.
+pub fn print_class_table(
+    title: &str,
+    total_header: &str,
+    total_width: usize,
+    pick: fn(&Evaluation) -> ClassTotals,
+) {
+    let cfg = HarnessConfig::from_args();
+    let widths = [10, total_width, 10, 9, 8, 7];
+    println!("{title}");
+    let header = [
+        "benchmark",
+        total_header,
+        "external",
+        "pointer",
+        "unsafe",
+        "safe",
+    ];
+    println!("{}", row(&header.map(String::from), &widths));
+    let mut per_class: [Vec<f64>; 4] = Default::default();
+    for b in impact_workloads::all_benchmarks() {
+        let e = evaluate(&b, &cfg).expect("evaluation runs");
+        let t = pick(&e);
+        let mut cells = vec![e.name.clone(), t.total().to_string()];
+        for (acc, class) in per_class.iter_mut().zip(CLASSES) {
+            acc.push(t.percent(class));
+            cells.push(format!("{:.1}%", t.percent(class)));
+        }
+        println!("{}", row(&cells, &widths));
+    }
+    let mut avg = vec!["AVG".to_string(), String::new()];
+    avg.extend(per_class.iter().map(|v| format!("{:.1}%", mean_sd(v).0)));
+    println!("{}", row(&avg, &widths));
 }
 
 /// Compiles a benchmark and applies the paper's pre-inline optimizations.
@@ -107,95 +169,48 @@ pub fn prepared_module(b: &Benchmark) -> Result<Module, impact_cfront::CompileEr
     Ok(module)
 }
 
-/// Profiles a module over a benchmark's run set; returns the **merged**
-/// profile (call [`Profile::averaged`] for per-run weights).
-///
-/// # Errors
-///
-/// Fails if any run traps.
-pub fn profile_benchmark(
-    b: &Benchmark,
-    module: &Module,
-    cfg: &HarnessConfig,
-) -> Result<Profile, VmError> {
-    let runs = b.profile_run_set(cfg.max_runs);
-    let (merged, _) = profile_runs(module, &runs, &cfg.vm)?;
-    Ok(merged)
-}
-
 /// Runs the full §4 pipeline on one benchmark.
 ///
 /// # Errors
 ///
-/// Fails on compile errors (reported as a panic — the sources are part of
-/// this crate) or VM traps.
-pub fn evaluate(b: &Benchmark, cfg: &HarnessConfig) -> Result<Evaluation, VmError> {
+/// Fails when a profiling or re-profiling run traps, or the inlined
+/// module fails verification. Compile errors panic: the sources are part
+/// of this crate.
+pub fn evaluate(b: &Benchmark, cfg: &HarnessConfig) -> Result<Evaluation, String> {
     let module = prepared_module(b).expect("bundled benchmark compiles");
-    let n_runs = b.runs.min(cfg.max_runs);
-
-    // Baseline profile.
-    let merged = profile_benchmark(b, &module, cfg)?;
-    let averaged = merged.averaged();
-
-    // Classification on the baseline (Tables 2 and 3).
-    let graph = CallGraph::build(&module, &averaged);
-    let classification = classify(&module, &graph, &cfg.inline);
-    let static_totals = classification.static_totals();
-    let dynamic_totals = classification.dynamic_totals();
-
-    // Inline expansion.
-    let mut inlined = module.clone();
-    let report = inline_module(&mut inlined, &averaged, &cfg.inline);
-
-    // Re-profile the same inputs.
-    let merged_after = profile_benchmark(b, &inlined, cfg)?;
+    let runs = b.profile_run_set(cfg.max_runs);
+    let g = inline_guarded(&module, &runs, &cfg.inline, &cfg.vm, None).map_err(|u| u.detail)?;
+    if let Some(trap) = g.profile_trap {
+        return Err(trap);
+    }
+    let (_, merged_after) = g.after?;
+    let averaged = g.baseline.averaged();
     let averaged_after = merged_after.averaged();
 
-    // Post-inline dynamic mix.
-    let graph_after = CallGraph::build(&inlined, &averaged_after);
-    let classification_after = classify(&inlined, &graph_after, &cfg.inline);
-    let mix = classification_after.dynamic_totals();
-    let post_mix = [
-        mix.percent(impact_inline::SiteClass::External),
-        mix.percent(impact_inline::SiteClass::Pointer),
-        mix.percent(impact_inline::SiteClass::Unsafe),
-        mix.percent(impact_inline::SiteClass::Safe),
-    ];
-
-    let call_dec_percent = if merged.calls == 0 {
-        0.0
-    } else {
-        100.0 * merged.calls.saturating_sub(merged_after.calls) as f64 / merged.calls as f64
-    };
+    // Classification of the original module on the baseline (Tables 2
+    // and 3), and of the final module on the re-profile (the post-inline
+    // dynamic mix).
+    let classification = classify(&module, &CallGraph::build(&module, &averaged), &cfg.inline);
+    let graph_after = CallGraph::build(&g.module, &averaged_after);
+    let mix = classify(&g.module, &graph_after, &cfg.inline).dynamic_totals();
+    let post_mix = CLASSES.map(|c| mix.percent(c));
 
     Ok(Evaluation {
         name: b.name.to_string(),
         c_lines: b.c_lines(),
-        runs: n_runs,
+        runs: runs.len() as u32,
         input_description: b.input_description.to_string(),
         avg_ils: averaged.il_executed,
         avg_control: averaged.control_transfers,
-        static_totals,
-        dynamic_totals,
-        code_inc_percent: report.code_increase_percent(),
-        call_dec_percent,
+        static_totals: classification.static_totals(),
+        dynamic_totals: classification.dynamic_totals(),
+        code_inc_percent: g.report.code_increase_percent(),
+        call_dec_percent: call_decrease_percent(&g.baseline, &merged_after),
         ils_per_call: averaged_after.ils_per_call(),
         cts_per_call: averaged_after.cts_per_call(),
         post_mix,
-        report,
+        report: g.report,
     })
-}
-
-/// Evaluates every benchmark of the suite.
-///
-/// # Errors
-///
-/// Fails on the first benchmark that traps.
-pub fn evaluate_all(cfg: &HarnessConfig) -> Result<Vec<Evaluation>, VmError> {
-    impact_workloads::all_benchmarks()
-        .iter()
-        .map(|b| evaluate(b, cfg))
-        .collect()
 }
 
 /// Evaluates every benchmark with per-benchmark isolation, the batch
@@ -209,7 +224,7 @@ pub fn evaluate_all_supervised(cfg: &HarnessConfig) -> (Vec<Evaluation>, Vec<(St
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| evaluate(&b, cfg)));
         match outcome {
             Ok(Ok(e)) => evaluations.push(e),
-            Ok(Err(e)) => failures.push((b.name.to_string(), e.to_string())),
+            Ok(Err(e)) => failures.push((b.name.to_string(), e)),
             Err(payload) => {
                 let msg = payload
                     .downcast_ref::<&str>()

@@ -27,6 +27,8 @@ pub(crate) struct Flag {
 /// The commands a flag applies to, and the text completing "`--X` only
 /// applies to …, not `cmd`". Rows sharing a scope are rejected together:
 /// the message names them all, e.g. "--jobs/--cache-dir only apply to …".
+/// `bench` with a benchmark name is listed as `bench NAME`, apart from
+/// the suite (`bench` alone).
 struct Scope(&'static [&'static str], &'static str);
 
 /// Which identity dumps include a flag's value: the cache key
@@ -130,13 +132,17 @@ impl Flag {
 /// Returns the "`--X` only applies to …, not `cmd`" message.
 pub(crate) fn check_scope(opts: &Options) -> Result<(), String> {
     let command = opts.command.as_str();
-    if !FLAGS.iter().any(|f| f.scope.0.contains(&command)) {
+    let form = match command {
+        "bench" if !opts.positional.is_empty() => "bench NAME",
+        _ => command,
+    };
+    if !FLAGS.iter().any(|f| f.scope.0.contains(&form)) {
         // Not a command at all: `execute` reports that instead.
         return Ok(());
     }
     let Some(f) = FLAGS
         .iter()
-        .find(|f| (f.view)(opts).is_set() && !f.scope.0.contains(&command))
+        .find(|f| (f.view)(opts).is_set() && !f.scope.0.contains(&form))
     else {
         return Ok(());
     };
@@ -174,15 +180,15 @@ mod scopes {
 
     pub(super) const PROGRAM_RUNS: Scope = Scope(&["run", "inline", "callgraph", "batch", "serve"],
         "commands that run the program on its inputs (run, inline, callgraph, batch, serve)");
-    pub(super) const FAULTS: Scope = Scope(&["run", "inline", "bench", "batch", "fuzz", "serve"],
+    pub(super) const FAULTS: Scope = Scope(&["run", "inline", "bench", "bench NAME", "batch", "fuzz", "serve"],
         "commands with fault points to arm (run, inline, bench, batch, fuzz, serve)");
-    pub(super) const EXPANSION: Scope = Scope(&["inline", "bench", "batch", "fuzz", "serve"],
+    pub(super) const EXPANSION: Scope = Scope(&["inline", "bench", "bench NAME", "batch", "fuzz", "serve"],
         "commands that inline-expand or fuzz the expander (inline, bench, batch, fuzz, serve)");
-    pub(super) const EXPANDER: Scope = Scope(&["inline", "bench", "batch", "serve"],
+    pub(super) const EXPANDER: Scope = Scope(&["inline", "bench", "bench NAME", "batch", "serve"],
         "commands that configure the expander (inline, bench, batch, serve)");
     pub(super) const OPT: Scope = Scope(&["inline", "batch", "serve"],
         "commands that compile through the inline pipeline (inline, batch, serve)");
-    pub(super) const GOVERNOR: Scope = Scope(&["run", "inline", "callgraph", "bench", "batch", "serve"],
+    pub(super) const GOVERNOR: Scope = Scope(&["run", "inline", "callgraph", "bench", "bench NAME", "batch", "serve"],
         "commands whose VM runs obey the resource governor (run, inline, callgraph, bench, batch, serve)");
     pub(super) const PROFILE_IN: Scope = Scope(&["inline"],
         "`inline` (the command that can reuse a saved profile)");
@@ -195,18 +201,20 @@ mod scopes {
     pub(super) const RETRY: Scope = Scope(&["batch", "request"],
         "the commands that retry (batch supervision, request client)");
     pub(super) const REPORTS: Scope = Scope(&["bench", "batch", "fuzz", "serve"],
-        "commands that write reports to a directory (bench, batch, fuzz, serve)");
+        "commands that write reports to a directory (the bench suite, batch, fuzz, serve)");
     pub(super) const UNITS: Scope = Scope(&["batch"],
         "`batch` (the command with a unit list)");
     pub(super) const SEED: Scope = Scope(&["fuzz"],
         "`fuzz` (the command that generates its programs)");
-    pub(super) const VM: Scope = Scope(&["run", "inline", "callgraph", "bench", "batch", "fuzz", "serve"],
-        "commands that execute code on the VM (run, inline, callgraph, bench, batch, fuzz, serve)");
+    pub(super) const ENGINE: Scope = Scope(&["run", "inline", "callgraph", "bench", "bench NAME", "batch", "serve"],
+        "commands that run the program on one chosen VM engine (run, inline, callgraph, bench, batch, serve)");
+    pub(super) const ICACHE: Scope = Scope(&["run"],
+        "`run` (the command that reports instruction-cache statistics)");
     pub(super) const CAMPAIGN: Scope = Scope(&["batch", "fuzz"],
         "campaign commands (batch, fuzz)");
     pub(super) const AUDIT: Scope = Scope(&["inline"],
         "`inline` (the command that plans inline expansion)");
-    pub(super) const TELEMETRY: Scope = Scope(&["inline", "bench", "batch", "fuzz", "serve", "request"],
+    pub(super) const TELEMETRY: Scope = Scope(&["inline", "bench", "bench NAME", "batch", "fuzz", "serve", "request"],
         "pipeline commands (inline, bench, batch, fuzz, serve, request)");
     pub(super) const SERVICE: Scope = Scope(&["batch", "serve"],
         "service commands (batch, serve)");
@@ -271,8 +279,8 @@ pub(crate) static FLAGS: &[Flag] = &flags! {
     "--fault-unit"         Some("a name"),           fault_unit,         UNITS,        Campaign;
     "--workloads"          SWITCH,                   workloads,          UNITS,        Campaign;
     "--seed"               NUMBER,                   seed,               SEED,         Campaign;
-    "--engine"             Some("a name"),           engine,             VM,           Neither;
-    "--icache"             SWITCH,                   icache,             VM,           Neither;
+    "--engine"             Some("a name"),           engine,             ENGINE,       Neither;
+    "--icache"             SWITCH,                   icache,             ICACHE,       Neither;
     "--journal"            PATH,                     journal,            CAMPAIGN,     Neither;
     "--resume"             SWITCH,                   resume,             CAMPAIGN,     Neither;
     "--force-resume"       SWITCH,                   force_resume,       CAMPAIGN,     Neither;
@@ -305,15 +313,21 @@ mod tests {
         "inline",
         "callgraph",
         "bench",
+        "bench NAME",
         "batch",
         "fuzz",
         "serve",
         "request",
     ];
 
-    /// `command FLAG [VALUE]`, parsed.
+    /// `command FLAG [VALUE]`, parsed; `bench NAME` becomes `bench grep`.
     fn given(command: &str, flag: &Flag) -> Options {
-        let mut argv = vec![command.to_string(), flag.name.to_string()];
+        let mut argv: Vec<String> = command
+            .replace("NAME", "grep")
+            .split(' ')
+            .map(String::from)
+            .collect();
+        argv.push(flag.name.to_string());
         match flag.takes {
             Some("name=path") => argv.push("k=v".to_string()),
             Some(_) => argv.push("1".to_string()),
@@ -338,7 +352,8 @@ mod tests {
                 let (group, rest) = err.split_once(" only ").unwrap();
                 assert!(group.split('/').any(|n| n == flag.name), "{err}");
                 assert!(rest.starts_with("appl"), "{err}");
-                assert!(err.ends_with(&format!(", not `{command}`")), "{err}");
+                let shown = command.split(' ').next().unwrap();
+                assert!(err.ends_with(&format!(", not `{shown}`")), "{err}");
             }
         }
     }

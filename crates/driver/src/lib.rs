@@ -16,13 +16,14 @@ use std::fmt::Write as _;
 use impact_callgraph::CallGraph;
 use impact_cfront::{compile, compile_with, Source};
 use impact_il::{module_to_string, verify_module, Module, VerifyError};
+pub use impact_inline::RunSpec;
 use impact_inline::{
-    expand_site, inline_module, ExpansionRecord, Incident, IncidentStage, InlineConfig,
-    Linearization, SiteDecision,
+    behavior_of, call_decrease_percent, inline_guarded, Incident, IncidentStage, InlineConfig,
+    Linearization, Runner, SiteDecision,
 };
-use impact_obs::{names, Telemetry};
+use impact_obs::Telemetry;
 use impact_opt::optimize_module_observed;
-use impact_vm::{profile_runs, Engine, FaultPlan, IcacheConfig, NamedFile, Profile, VmConfig};
+use impact_vm::{profile_runs, Engine, FaultPlan, IcacheConfig, NamedFile, VmConfig};
 
 pub mod cache;
 mod flags;
@@ -471,6 +472,21 @@ impl Options {
             service,
         })
     }
+
+    /// The validated inline and VM configurations, both reporting to
+    /// `obs`: what every command that inline-expands runs its pipeline
+    /// under.
+    pub(crate) fn pipeline_configs(
+        &self,
+        obs: &Telemetry,
+    ) -> Result<(InlineConfig, VmConfig), String> {
+        let ValidatedFlags {
+            mut inline, mut vm, ..
+        } = self.validate_flags()?;
+        inline.obs = obs.clone();
+        vm.obs = obs.clone();
+        Ok((inline, vm))
+    }
 }
 
 /// Default bound of the serve request queue (`--queue-depth`).
@@ -527,7 +543,8 @@ pub fn usage() -> String {
      \x20 callgraph <files.c...>          print the weighted call graph (DOT)\n\
      \x20 bench [name]                    run one bundled benchmark end to end; with no\n\
      \x20                                 name, evaluate the whole suite and write the\n\
-     \x20                                 paper-style metrics to BENCH_inline.json\n\
+     \x20                                 paper-style metrics to BENCH_inline.json (in\n\
+     \x20                                 --report-dir, default the working directory)\n\
      \x20 batch <dirs|files|bench:N...>   supervised batch compilation: every unit\n\
      \x20                                 runs isolated under the resource governor;\n\
      \x20                                 failures are retried, then quarantined with\n\
@@ -568,14 +585,14 @@ pub fn usage() -> String {
      \x20 --fuel N                        VM instruction budget per run\n\
      \x20 --mem-limit N                   VM heap allocation quota in bytes\n\
      \n\
-     execution engine (run/inline/callgraph/bench/batch/fuzz/serve):\n\
+     execution engine (run/inline/callgraph/bench/batch/serve; fuzz runs both):\n\
      \x20 --engine interp|bytecode        VM execution engine (default bytecode: flat\n\
      \x20                                 register bytecode, measured multiple-x faster;\n\
      \x20                                 interp is the reference tree-walker — both are\n\
      \x20                                 behaviorally identical, proven by the parity\n\
      \x20                                 suite, so results never depend on the choice)\n\
-     \x20 --icache                        replay the instruction stream through the\n\
-     \x20                                 paper-era simulated icache (8 KiB direct-\n\
+     \x20 --icache                        (run) replay the instruction stream through\n\
+     \x20                                 the paper-era simulated icache (8 KiB direct-\n\
      \x20                                 mapped, 32-byte lines) and report miss stats;\n\
      \x20                                 the stream is identical on either engine\n\
      \n\
@@ -707,243 +724,6 @@ fn load_inputs(pairs: &[(String, String)]) -> Result<Vec<NamedFile>, String> {
         .collect()
 }
 
-/// One profiling/benchmark run: named input files plus program arguments.
-pub type RunSpec = (Vec<NamedFile>, Vec<String>);
-
-/// Acquires a profile with graceful degradation: a corrupt `--profile-in`
-/// (or the `profile:parse` fault point), and a trapping profiling run,
-/// both warn and fall back to an unprofiled plan in which every arc
-/// carries exactly the threshold weight — threshold-only inlining —
-/// instead of aborting the compilation.
-///
-/// Alongside the profile comes the pristine module's behavior when the
-/// differential guard may reuse it as ground truth: only from a profiling
-/// run that finished with no fault armed (`vm:oom` can perturb it).
-fn acquire_profile(
-    module: &Module,
-    runs: &[RunSpec],
-    vm_cfg: &VmConfig,
-    profile_in: Option<&str>,
-    fallback_weight: u64,
-    incidents: &mut Vec<Incident>,
-    out: &mut String,
-) -> Result<(Profile, Option<Behavior>), String> {
-    let degraded =
-        |detail: String, subject: String, incidents: &mut Vec<Incident>, out: &mut String| {
-            let _ = writeln!(
-                out,
-                "; warning: {detail}; falling back to unprofiled (threshold-only) inlining"
-            );
-            incidents.push(Incident {
-                stage: IncidentStage::Profile,
-                subject,
-                detail,
-                rolled_back: false,
-            });
-            (Profile::assume_hot(module, fallback_weight), None)
-        };
-    match profile_in {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read profile `{path}`: {e}"))?;
-            let parsed = if vm_cfg.fault.should_fail("profile:parse") {
-                Err("fault injection corrupted the profile read".to_string())
-            } else {
-                Profile::from_text(&text).map_err(|e| e.to_string())
-            };
-            match parsed {
-                Ok(p) => Ok((p, None)),
-                Err(e) => Ok(degraded(
-                    format!("bad profile `{path}`: {e}"),
-                    format!("profile `{path}`"),
-                    incidents,
-                    out,
-                )),
-            }
-        }
-        None => match observe(module, runs, vm_cfg, &vm_cfg.obs) {
-            Ok((seen, p)) => Ok((p, vm_cfg.fault.is_empty().then_some(seen))),
-            Err(e) => Ok(degraded(
-                format!("profiling run trapped: {e}"),
-                "profiling run".to_string(),
-                incidents,
-                out,
-            )),
-        },
-    }
-}
-
-/// Observable behavior of a module over a run set: per-run stdout and
-/// exit code.
-type Behavior = Vec<(Vec<u8>, i64)>;
-
-/// One execution of a module over a run set: its behavior and merged
-/// profile, or the trap that stopped the first failing run.
-type Observation = Result<(Behavior, Profile), String>;
-
-/// Runs `module` over `runs` under `cfg`, counting each VM execution
-/// under `pipeline:vm_executions` on `obs`.
-fn observe(module: &Module, runs: &[RunSpec], cfg: &VmConfig, obs: &Telemetry) -> Observation {
-    let mut profile = Profile::for_module(module);
-    let mut seen = Vec::with_capacity(runs.len());
-    for (inputs, args) in runs {
-        obs.count(names::PIPELINE_VM_EXECUTIONS, 1);
-        let out =
-            impact_vm::run(module, inputs.clone(), args.clone(), cfg).map_err(|e| e.to_string())?;
-        profile.merge(&out.profile);
-        seen.push((out.stdout, out.exit_code));
-    }
-    Ok((seen, profile))
-}
-
-/// The behavior part of an observation, `None` when it trapped.
-fn behavior_of(o: &Observation) -> Option<&Behavior> {
-    o.as_ref().ok().map(|(seen, _)| seen)
-}
-
-/// Executes modules over one compile's run set for the differential
-/// guard, the `--opt` check and the after-profile: under the user's
-/// governor (`--engine`, `--fuel`, `--mem-limit`), never faulted and
-/// never traced.
-struct Runner<'a> {
-    runs: &'a [RunSpec],
-    cfg: VmConfig,
-    obs: &'a Telemetry,
-}
-
-impl<'a> Runner<'a> {
-    fn new(runs: &'a [RunSpec], vm: &VmConfig, obs: &'a Telemetry) -> Self {
-        let cfg = VmConfig {
-            engine: vm.engine,
-            max_steps: vm.max_steps,
-            mem_limit: vm.mem_limit,
-            ..VmConfig::default()
-        };
-        Runner { runs, cfg, obs }
-    }
-
-    fn observe(&self, module: &Module) -> Observation {
-        observe(module, self.runs, &self.cfg, self.obs)
-    }
-
-    fn behavior(&self, module: &Module) -> Option<Behavior> {
-        self.observe(module).ok().map(|(seen, _)| seen)
-    }
-}
-
-/// Replays a subset of expansion records on a pristine pre-expansion
-/// module (plan sites always refer to original-module sites, so any
-/// subset replays cleanly in order).
-fn replay(module0: &Module, records: &[ExpansionRecord], included: &[bool]) -> Module {
-    let mut m = module0.clone();
-    for (r, inc) in records.iter().zip(included) {
-        if *inc {
-            expand_site(&mut m, r.caller, r.site, r.callee);
-        }
-    }
-    m
-}
-
-/// The differential safety net: compares the inlined module's observable
-/// behavior against the pre-inline module on the same runs. On
-/// divergence, bisects the applied expansions to the smallest offending
-/// set, rolls those arcs back (rebuilding the module from the pristine
-/// copy), and records incidents — a miscompile is never shipped.
-///
-/// `truth` is the pre-inline behavior when the profiling run already
-/// observed it; otherwise the guard runs `module0` itself. Returns the
-/// check run of the module when the guard accepts it unchanged, so the
-/// caller can reuse it; `None` when there was no ground truth or arcs
-/// were rolled back.
-///
-/// `promoted` forces the conservative path: promotion rewrites sites the
-/// records may reference, so the whole transformation is rolled back
-/// instead of bisected.
-#[allow(clippy::too_many_arguments)]
-fn differential_guard(
-    module: &mut Module,
-    module0: &Module,
-    truth: Option<Behavior>,
-    records: &[ExpansionRecord],
-    promoted: bool,
-    eliminate: bool,
-    runner: &Runner,
-    incidents: &mut Vec<Incident>,
-    out: &mut String,
-) -> Option<Observation> {
-    // `None` here: the original program itself traps on these runs, so
-    // there is no ground truth to compare against.
-    let target = truth.or_else(|| runner.behavior(module0))?;
-    let check = runner.observe(module);
-    if behavior_of(&check) == Some(&target) {
-        return Some(check);
-    }
-    let _ = writeln!(
-        out,
-        "; warning: post-inline behavior diverged from the pre-inline run; bisecting"
-    );
-    if promoted || records.is_empty() {
-        *module = module0.clone();
-        incidents.push(Incident {
-            stage: IncidentStage::Divergence,
-            subject: "whole transformation".to_string(),
-            detail: "behavior diverged and the expansion set cannot be bisected; \
-                     reverted to the pre-inline module"
-                .to_string(),
-            rolled_back: true,
-        });
-        return None;
-    }
-    let mut included = vec![true; records.len()];
-    for _ in 0..records.len() {
-        let candidate = replay(module0, records, &included);
-        if runner.behavior(&candidate).as_ref() == Some(&target) {
-            break;
-        }
-        // Smallest prefix of still-included arcs that diverges; its last
-        // arc is an offender.
-        let active: Vec<usize> = (0..records.len()).filter(|&i| included[i]).collect();
-        let fails = |k: usize| {
-            let mut subset = vec![false; records.len()];
-            for &i in &active[..k] {
-                subset[i] = true;
-            }
-            runner.behavior(&replay(module0, records, &subset)).as_ref() != Some(&target)
-        };
-        let (mut lo, mut hi) = (1, active.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if fails(mid) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let offender = active[lo - 1];
-        included[offender] = false;
-        let r = &records[offender];
-        incidents.push(Incident {
-            stage: IncidentStage::Divergence,
-            subject: format!(
-                "`{}` -> `{}` (site {})",
-                module0.function(r.callee).name,
-                module0.function(r.caller).name,
-                r.site.0
-            ),
-            detail: "expansion changed observable behavior; arc rolled back".to_string(),
-            rolled_back: true,
-        });
-    }
-    *module = replay(module0, records, &included);
-    if eliminate {
-        impact_inline::eliminate_unreachable(module);
-    }
-    debug_assert!(runner.behavior(module).as_ref() == Some(&target));
-    None
-}
-
-/// Appends per-incident lines and the `; incidents: N (M rolled back)`
-/// summary to the report.
 /// Warns about armed fault points that never fired — a typo'd domain or
 /// an out-of-range hit count would otherwise be silently ignored.
 fn warn_unfired(out: &mut String, fault: &FaultPlan) {
@@ -956,6 +736,8 @@ fn warn_unfired(out: &mut String, fault: &FaultPlan) {
     }
 }
 
+/// Appends per-incident lines and the `; incidents: N (M rolled back)`
+/// summary to the report.
 fn render_incidents(out: &mut String, incidents: &[Incident]) {
     for i in incidents {
         let _ = writeln!(out, "; incident: {i}");
@@ -969,15 +751,16 @@ fn render_incidents(out: &mut String, incidents: &[Incident]) {
     );
 }
 
-/// The full profile → inline → verify → guard → optimize pipeline over
-/// already-loaded sources, with every hard failure classified as a
-/// [`PipelineFailure`] so the batch supervisor (and the `inline` command)
-/// can make retry/quarantine decisions and match failure signatures.
+/// The full compile → guarded inline ([`inline_guarded`]) → optimize
+/// pipeline over already-loaded sources, with every hard failure
+/// classified as a [`PipelineFailure`] so the batch supervisor (and the
+/// `inline` command) can make retry/quarantine decisions and match
+/// failure signatures.
 ///
-/// The post-inline verification step doubles as the pipeline's one
-/// *unrecovered* failure point: the `inline:verify` fault key injects a
-/// verification failure here, modeling the class of hard failures that
-/// the recovery layer of PR 1 cannot absorb.
+/// The post-inline verification is the pipeline's one *unrecovered*
+/// failure point: the `inline:verify` fault key injects a verification
+/// failure there, modeling the class of hard failures that the recovery
+/// layer cannot absorb.
 ///
 /// # Errors
 ///
@@ -994,8 +777,8 @@ pub fn inline_pipeline(
 /// [`inline_pipeline`] with an externally-owned telemetry handle (so a
 /// campaign can aggregate across units into one collector) and the
 /// inline-decision audit trail in the result. Spans cover every stage:
-/// the front end (per-source lex/parse, lower), both verifier runs, the
-/// profiling VM runs, each inline sub-phase, and each optimization pass.
+/// the front end (per-source lex/parse, lower), both verifier runs, every
+/// VM run, each inline sub-phase, and each optimization pass.
 ///
 /// # Errors
 ///
@@ -1008,21 +791,15 @@ pub fn inline_pipeline_observed(
     obs: &Telemetry,
 ) -> Result<(i32, String, Vec<SiteDecision>), PipelineFailure> {
     let mut out = String::new();
-    let config_err = |e: String| PipelineFailure::new("config", "bad-flag", e);
-    let ValidatedFlags {
-        inline: mut cfg,
-        vm: mut vm_cfg,
-        ..
-    } = opts.validate_flags().map_err(config_err)?;
-    cfg.obs = obs.clone();
+    let (mut cfg, vm_cfg) = opts
+        .pipeline_configs(obs)
+        .map_err(|e| PipelineFailure::new("config", "bad-flag", e))?;
     cfg.audit = telemetry::audit_requested(opts);
-    vm_cfg.obs = obs.clone();
-    let fault = cfg.fault.clone();
-    let mut module = compile_with(sources, obs)
+    let module0 = compile_with(sources, obs)
         .map_err(|e| PipelineFailure::new("compile", e.message.clone(), e.render(sources)))?;
     {
         let _verify_span = obs.span("il:verify");
-        verify_module(&module).map_err(|es| {
+        verify_module(&module0).map_err(|es| {
             PipelineFailure::new(
                 "verify",
                 "post-compile-verify-failed",
@@ -1030,67 +807,38 @@ pub fn inline_pipeline_observed(
             )
         })?;
     }
-    let module0 = module.clone();
-    let mut incidents: Vec<Incident> = Vec::new();
-    let (profile, truth) = {
-        let _profile_span = obs.span("profile:acquire");
-        acquire_profile(
-            &module,
-            runs,
-            &vm_cfg,
-            opts.profile_in.as_deref(),
-            cfg.weight_threshold,
-            &mut incidents,
-            &mut out,
-        )
-        .map_err(|e| PipelineFailure::new("io", "profile-read-failed", e))?
-    };
+    let profile_text = opts
+        .profile_in
+        .as_deref()
+        .map(|path| {
+            std::fs::read_to_string(path).map_err(|e| {
+                let detail = format!("cannot read profile `{path}`: {e}");
+                PipelineFailure::new("io", "profile-read-failed", detail)
+            })
+        })
+        .transpose()?;
+    let supplied = opts.profile_in.as_deref().zip(profile_text.as_deref());
+    let guarded = inline_guarded(&module0, runs, &cfg, &vm_cfg, supplied);
     if let Some(path) = &opts.profile_out {
-        report::atomic_write_path(std::path::Path::new(path), profile.to_text().as_bytes())
+        let baseline = guarded
+            .as_ref()
+            .map_or_else(|u| &u.baseline, |g| &g.baseline);
+        report::atomic_write_path(std::path::Path::new(path), baseline.to_text().as_bytes())
             .map_err(|e| PipelineFailure::new("io", "profile-write-failed", e))?;
     }
-    let report = inline_module(&mut module, &profile.averaged(), &cfg);
-    incidents.extend(report.incidents.iter().cloned());
-    // The one unrecovered failure point: a module that fails verification
-    // *after* inlining has no safe fallback short of abandoning the unit,
-    // so it surfaces as a hard `inline:verify-failed` error (and the
-    // `inline:verify` fault key injects exactly this failure).
-    let verified = {
-        let _verify_span = obs.span("il:verify");
-        if fault.should_fail("inline:verify") {
-            Err("fault injection: post-inline verification rejected the module".to_string())
-        } else {
-            verify_module(&module).map_err(|es| render_verify_errors(&es))
-        }
-    };
-    if let Err(detail) = verified {
-        let mut f = PipelineFailure::new(
-            "inline",
-            "verify-failed",
-            format!("post-inline verification failed: {detail}"),
-        );
-        f.incidents = incidents.iter().map(|i| i.to_string()).collect();
-        return Err(f);
+    let mut g = guarded.map_err(|u| {
+        let mut f = PipelineFailure::new("inline", "verify-failed", u.detail);
+        f.incidents = u.incidents.iter().map(|i| i.to_string()).collect();
+        f
+    })?;
+    for w in &g.warnings {
+        let _ = writeln!(out, "; warning: {w}");
     }
-    let runner = Runner::new(runs, &vm_cfg, obs);
-    // The latest run of `module` as it stands, when one is reusable.
-    let mut seen = differential_guard(
-        &mut module,
-        &module0,
-        truth,
-        &report.records,
-        !report.promoted.is_empty(),
-        cfg.eliminate_unreachable,
-        &runner,
-        &mut incidents,
-        &mut out,
-    );
     if opts.opt {
-        let pre_opt = module.clone();
-        let pre_seen = seen.take();
-        let (_, skipped, fixpoints) = optimize_module_observed(&mut module, &fault, obs);
+        let pre_opt = g.module.clone();
+        let (_, skipped, fixpoints) = optimize_module_observed(&mut g.module, &cfg.fault, obs);
         for s in skipped {
-            incidents.push(Incident {
+            g.incidents.push(Incident {
                 stage: IncidentStage::OptPass,
                 subject: format!("pass `{}` on `{}`", s.pass, s.func),
                 detail: s.reason,
@@ -1098,7 +846,7 @@ pub fn inline_pipeline_observed(
             });
         }
         for fx in fixpoints {
-            incidents.push(Incident {
+            g.incidents.push(Incident {
                 stage: IncidentStage::OptFixpoint,
                 detail: fx.to_string(),
                 subject: format!("optimizer fixpoint in `{}`", fx.func),
@@ -1108,23 +856,26 @@ pub fn inline_pipeline_observed(
         // The optimizer gets the same never-ship-a-miscompile
         // treatment, but wholesale: verify and re-compare, and
         // revert the whole optimization on any failure.
-        if verify_module(&module).is_ok() {
-            let optimized = runner.observe(&module);
-            let before = pre_seen.unwrap_or_else(|| runner.observe(&pre_opt));
-            seen = (behavior_of(&optimized) == behavior_of(&before)).then_some(optimized);
-        }
-        if seen.is_none() {
-            module = pre_opt;
-            incidents.push(Incident {
-                stage: IncidentStage::Divergence,
-                subject: "post-inline optimization".to_string(),
-                detail: "optimized module failed verification or diverged; \
-                         optimization reverted"
-                    .to_string(),
-                rolled_back: true,
-            });
+        let optimized = verify_module(&g.module)
+            .is_ok()
+            .then(|| Runner::new(runs, &vm_cfg).observe(&g.module))
+            .filter(|o| behavior_of(o) == behavior_of(&g.after));
+        match optimized {
+            Some(o) => g.after = o,
+            None => {
+                g.module = pre_opt;
+                g.incidents.push(Incident {
+                    stage: IncidentStage::Divergence,
+                    subject: "post-inline optimization".to_string(),
+                    detail: "optimized module failed verification or diverged; \
+                             optimization reverted"
+                        .to_string(),
+                    rolled_back: true,
+                });
+            }
         }
     }
+    let (module, report) = (&g.module, &g.report);
     let totals = report.classification.static_totals();
     let _ = writeln!(
         out,
@@ -1167,33 +918,29 @@ pub fn inline_pipeline_observed(
             report.promoted.len()
         );
     }
-    match seen.unwrap_or_else(|| runner.observe(&module)) {
+    match &g.after {
         Ok((_, after)) => {
             let _ = writeln!(
                 out,
                 "; dynamic calls {} -> {} ({:.1}% eliminated)",
-                profile.calls,
+                g.baseline.calls,
                 after.calls,
-                if profile.calls == 0 {
-                    0.0
-                } else {
-                    100.0 * profile.calls.saturating_sub(after.calls) as f64 / profile.calls as f64
-                }
+                call_decrease_percent(&g.baseline, after)
             );
         }
         Err(e) => {
             let _ = writeln!(out, "; warning: post-inline measurement run trapped: {e}");
         }
     }
-    warn_unfired(&mut out, &fault);
-    render_incidents(&mut out, &incidents);
+    warn_unfired(&mut out, &cfg.fault);
+    render_incidents(&mut out, &g.incidents);
     if opts.explain {
         out.push_str(&telemetry::explain_table(&report.decisions));
     }
     if !opts.quiet {
-        out.push_str(&module_to_string(&module));
+        out.push_str(&module_to_string(module));
     }
-    Ok((0, out, report.decisions))
+    Ok((0, out, g.report.decisions))
 }
 
 /// Executes a parsed command; returns the process exit code and the text
@@ -1279,59 +1026,27 @@ pub fn execute(opts: &Options) -> Result<(i32, String), String> {
             };
             let b = impact_workloads::benchmark(name)
                 .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-            let ValidatedFlags {
-                inline: mut cfg,
-                vm: mut vm_cfg,
-                ..
-            } = opts.validate_flags()?;
-            cfg.obs = obs.clone();
-            vm_cfg.obs = obs.clone();
-            let mut module =
-                compile_with(&b.sources(), &obs).map_err(|e| e.render(&b.sources()))?;
-            let module0 = module.clone();
-            let runs = b.profile_run_set(4);
-            let mut incidents: Vec<Incident> = Vec::new();
-            let (profile, truth) = acquire_profile(
-                &module,
-                &runs,
-                &vm_cfg,
-                None,
-                cfg.weight_threshold,
-                &mut incidents,
-                &mut out,
-            )?;
-            let report = inline_module(&mut module, &profile.averaged(), &cfg);
-            incidents.extend(report.incidents.iter().cloned());
-            let runner = Runner::new(&runs, &vm_cfg, &obs);
-            let seen = differential_guard(
-                &mut module,
-                &module0,
-                truth,
-                &report.records,
-                !report.promoted.is_empty(),
-                cfg.eliminate_unreachable,
-                &runner,
-                &mut incidents,
-                &mut out,
-            );
-            let (_, after) = seen.unwrap_or_else(|| runner.observe(&module))?;
+            let (cfg, vm_cfg) = opts.pipeline_configs(&obs)?;
+            let module = compile_with(&b.sources(), &obs).map_err(|e| e.render(&b.sources()))?;
+            let g = inline_guarded(&module, &b.profile_run_set(4), &cfg, &vm_cfg, None)
+                .map_err(|u| u.detail)?;
+            for w in &g.warnings {
+                let _ = writeln!(out, "; warning: {w}");
+            }
+            let (_, after) = g.after?;
             let _ = writeln!(
                 out,
                 "{name}: {} C lines, {} ILs/run, calls {} -> {} ({:.1}% eliminated), code {:+.1}%",
                 b.c_lines(),
-                profile.averaged().il_executed,
-                profile.calls,
+                g.baseline.averaged().il_executed,
+                g.baseline.calls,
                 after.calls,
-                if profile.calls == 0 {
-                    0.0
-                } else {
-                    100.0 * profile.calls.saturating_sub(after.calls) as f64 / profile.calls as f64
-                },
-                report.code_increase_percent()
+                call_decrease_percent(&g.baseline, &after),
+                g.report.code_increase_percent()
             );
             warn_unfired(&mut out, &cfg.fault);
-            if !incidents.is_empty() {
-                render_incidents(&mut out, &incidents);
+            if !g.incidents.is_empty() {
+                render_incidents(&mut out, &g.incidents);
             }
             telemetry::write_artifacts(opts, &obs, None)?;
             Ok((0, out))
@@ -1898,23 +1613,33 @@ mod recovery_tests {
             ),
             (
                 vec!["compile", "a.c", "--engine", "interp"],
-                "--engine/--icache only apply to commands that execute code on the \
-                 VM (run, inline, callgraph, bench, batch, fuzz, serve), not `compile`",
+                "--engine only applies to commands that run the program on one chosen \
+                 VM engine (run, inline, callgraph, bench, batch, serve), not `compile`",
+            ),
+            (
+                vec!["fuzz", "--engine", "interp"],
+                "--engine only applies to commands that run the program on one chosen \
+                 VM engine (run, inline, callgraph, bench, batch, serve), not `fuzz`",
             ),
             (
                 vec!["compile", "a.c", "--icache"],
-                "--engine/--icache only apply to commands that execute code on the \
-                 VM (run, inline, callgraph, bench, batch, fuzz, serve), not `compile`",
+                "--icache only applies to `run` (the command that reports \
+                 instruction-cache statistics), not `compile`",
             ),
             (
                 vec!["request", "--engine", "bytecode"],
-                "--engine/--icache only apply to commands that execute code on the \
-                 VM (run, inline, callgraph, bench, batch, fuzz, serve), not `request`",
+                "--engine only applies to commands that run the program on one chosen \
+                 VM engine (run, inline, callgraph, bench, batch, serve), not `request`",
             ),
             (
                 vec!["request", "--icache"],
-                "--engine/--icache only apply to commands that execute code on the \
-                 VM (run, inline, callgraph, bench, batch, fuzz, serve), not `request`",
+                "--icache only applies to `run` (the command that reports \
+                 instruction-cache statistics), not `request`",
+            ),
+            (
+                vec!["bench", "grep", "--report-dir", "d"],
+                "--report-dir only applies to commands that write reports to a \
+                 directory (the bench suite, batch, fuzz, serve), not `bench`",
             ),
             (
                 vec!["bench", "grep", "--quiet"],
@@ -1948,6 +1673,12 @@ mod recovery_tests {
             &["batch", "u.c", "--quiet"],
             &["serve", "s.sock", "--profile-out", "p"],
             &["request", "s.sock", "t.c", "--threshold", "3"],
+            &["inline", "t.c", "--icache"],
+            &["bench", "--icache"],
+            &["batch", "u.c", "--icache"],
+            &["serve", "s.sock", "--icache"],
+            &["fuzz", "--engine", "interp"],
+            &["bench", "grep", "--report-dir", "d"],
         ] {
             let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
             let err = execute(&Options::parse(&strs(args)).unwrap()).unwrap_err();
@@ -2142,70 +1873,6 @@ mod recovery_tests {
             "the harmless arc must survive: {out}"
         );
         assert!(out.contains("(1 rolled back)"), "{out}");
-    }
-
-    #[test]
-    fn divergence_on_reused_ground_truth_still_bisects() {
-        // The program of `differential_net_bisects_a_real_stack_divergence`,
-        // driven through the guard directly: once with the profiling run's
-        // behavior as ground truth, once with the guard running the
-        // pristine module itself.
-        let module0 = compile(&[Source::new(
-            "deep.c",
-            "int leaf(int x) { char a[2048]; a[0] = x; a[x & 1023] = 1; return a[0] + a[x & 1023]; }\n\
-             int rec(int n) { if (n <= 0) return 0; return leaf(n) + rec(n - 1); }\n\
-             int main() { int i; int s; s = 0;\n\
-               for (i = 0; i < 20000; i++) s += leaf(i);\n\
-               s += rec(10000);\n\
-               return s & 0xff; }",
-        )])
-        .unwrap();
-        let runs: Vec<RunSpec> = vec![(vec![], vec![]); 2];
-        let vm = VmConfig::default();
-        let cfg = InlineConfig::default();
-        let (profile, truth) = acquire_profile(
-            &module0,
-            &runs,
-            &vm,
-            None,
-            cfg.weight_threshold,
-            &mut Vec::new(),
-            &mut String::new(),
-        )
-        .unwrap();
-        assert!(truth.is_some(), "a clean profiling run is reusable");
-        let mut inlined = module0.clone();
-        let report = inline_module(&mut inlined, &profile.averaged(), &cfg);
-        let guard = |truth: Option<Behavior>| {
-            let obs = Telemetry::enabled();
-            let runner = Runner::new(&runs, &vm, &obs);
-            let (mut module, mut incidents) = (inlined.clone(), Vec::new());
-            let seen = differential_guard(
-                &mut module,
-                &module0,
-                truth,
-                &report.records,
-                false,
-                cfg.eliminate_unreachable,
-                &runner,
-                &mut incidents,
-                &mut String::new(),
-            );
-            assert!(seen.is_none(), "a rolled-back module is not reused");
-            let incidents: Vec<String> = incidents.iter().map(|i| i.to_string()).collect();
-            let executions = obs.snapshot().counters[names::PIPELINE_VM_EXECUTIONS];
-            (module_to_string(&module), incidents, executions)
-        };
-        let (reused, reused_incidents, reused_runs) = guard(truth);
-        let (fresh, fresh_incidents, fresh_runs) = guard(None);
-        assert_eq!(reused_incidents.len(), 1, "{reused_incidents:?}");
-        assert!(
-            reused_incidents[0].contains("`leaf` -> `rec`"),
-            "{reused_incidents:?}"
-        );
-        assert_eq!(reused_incidents, fresh_incidents);
-        assert_eq!(reused, fresh);
-        assert_eq!(fresh_runs - reused_runs, runs.len() as u64);
     }
 
     #[test]

@@ -452,20 +452,23 @@ fn minimize_failure(
     Some(shrink(&flat, &mut check, SHRINK_EVAL_BUDGET))
 }
 
+/// A unit's completion record, its note lines, and its crash report
+/// still to [`publish`].
+type Finished = (UnitRecord, Vec<String>, Option<CrashReport>);
+
 /// Runs one unit end to end — cache probe, supervised compile with
-/// retry/quarantine, crash-report persistence, cache store — and returns
+/// retry/quarantine, crash-report construction, cache store — and returns
 /// its completion record plus any side-channel note lines (`; warning:`,
 /// `; cache:`). Everything here is safe to run concurrently for distinct
-/// units: artifacts are published atomically under unit-derived names,
-/// and nothing touches the journal (the supervising thread appends
-/// records after this returns).
+/// units: cache entries are published atomically under unit-derived
+/// names, and nothing touches the journal or the report dir.
 fn process_unit(
     unit: &Unit,
     opts: &Options,
     obs: &impact_obs::Telemetry,
     cache: Option<&cache::Cache>,
     report_dir: Option<&Path>,
-) -> (UnitRecord, Vec<String>) {
+) -> Finished {
     let mut notes: Vec<String> = Vec::new();
     let unit_opts = unit_options(opts, &unit.name);
     // Cache probe, keyed by the fully-materialized inputs. A hit records
@@ -487,6 +490,7 @@ fn process_unit(
                             counts: vec![0, 0],
                         },
                         notes,
+                        None,
                     );
                 }
                 cache::Lookup::Quarantined { entry, reason } => {
@@ -500,6 +504,7 @@ fn process_unit(
         }
     }
     let outcome = run_unit(unit, opts, obs);
+    let mut crash = None;
     let rec = match outcome.result {
         Ok((code, report)) => {
             if let (Some(c), Some(k)) = (cache, key) {
@@ -517,11 +522,10 @@ fn process_unit(
             }
         }
         Err((taxonomy, failure)) => {
-            let mut report_path = "-".to_string();
             let signature = failure.signature();
-            if let Some(dir) = report_dir {
+            if report_dir.is_some() {
                 let governor = unit_opts.validate_flags().map(|f| f.vm).unwrap_or_default();
-                let report = CrashReport {
+                crash = Some(CrashReport {
                     unit: unit.name.clone(),
                     taxonomy,
                     reproducer: minimize_failure(unit, opts, &failure),
@@ -530,20 +534,14 @@ fn process_unit(
                     time_limit_ms: opts.time_limit_ms.unwrap_or(DEFAULT_TIME_LIMIT_MS),
                     fuel: governor.max_steps,
                     mem_limit: governor.mem_limit,
-                };
-                match write_crash_report(dir, &report, &unit_opts) {
-                    Ok(path) => report_path = path.display().to_string(),
-                    Err(e) => {
-                        notes.push(format!("; warning: {e}"));
-                    }
-                }
+                });
             }
             UnitRecord {
                 unit: unit.name.clone(),
                 status: "quarantined".to_string(),
                 attempts: outcome.attempts.len() as u64,
                 signature,
-                report: report_path,
+                report: "-".to_string(),
                 counts: vec![
                     outcome.elapsed_ms,
                     (outcome.attempts.len() as u64).saturating_sub(1),
@@ -551,6 +549,24 @@ fn process_unit(
             }
         }
     };
+    (rec, notes, crash)
+}
+
+/// Publishes a quarantined unit's crash report and points its record at
+/// it, or notes why it could not. Runs on the journal-writing thread
+/// right before the unit's `unit-done` append, so a journal kill point
+/// never lands while a report is half-staged.
+fn publish(
+    (mut rec, mut notes, report): Finished,
+    opts: &Options,
+    report_dir: Option<&Path>,
+) -> (UnitRecord, Vec<String>) {
+    if let (Some(dir), Some(report)) = (report_dir, report) {
+        match write_crash_report(dir, &report, &unit_options(opts, &report.unit)) {
+            Ok(path) => rec.report = path.display().to_string(),
+            Err(e) => notes.push(format!("; warning: {e}")),
+        }
+    }
     (rec, notes)
 }
 
@@ -620,13 +636,14 @@ pub fn run_batch(opts: &Options) -> Result<(i32, String), String> {
                     unit: units[i].name.clone(),
                 })?;
             }
-            let (rec, unit_notes) = process_unit(
+            let finished = process_unit(
                 &units[i],
                 opts,
                 &obs,
                 artifact_cache.as_ref(),
                 report_dir.as_deref(),
             );
+            let (rec, unit_notes) = publish(finished, opts, report_dir.as_deref());
             // The unit's artifacts are durable before its completion
             // record — a `unit-done` in the journal therefore implies
             // nothing of this unit needs redoing on resume.
@@ -638,9 +655,9 @@ pub fn run_batch(opts: &Options) -> Result<(i32, String), String> {
         }
     } else {
         obs.count(names::POOL_WORKERS, jobs as u64);
-        // The pool delivers events on this thread, so the journal keeps
-        // exactly one writer: `unit-start` on claim, `unit-done` only
-        // after `process_unit` made the unit's artifacts durable.
+        // The pool delivers events on this thread, so the journal and the
+        // report dir keep exactly one writer: `unit-start` on claim, and
+        // on completion the crash report is published before `unit-done`.
         // Appends for different units may interleave, which replay
         // handles (`unit-start` is an in-flight marker, not a bracket).
         let steals = pool::run(
@@ -666,7 +683,7 @@ pub fn run_batch(opts: &Options) -> Result<(i32, String), String> {
                     }
                     PoolEvent::Done(i, r) => {
                         let (rec, unit_notes) = match r {
-                            Ok(t) => t,
+                            Ok(finished) => publish(finished, opts, report_dir.as_deref()),
                             // The compile itself is already panic-isolated
                             // inside run_attempt; this catches a panic in
                             // the supervision scaffolding and degrades it

@@ -172,21 +172,17 @@ pub fn write_artifacts(
 /// Returns flag-validation and filesystem errors; per-workload failures
 /// are supervised (reported in the text and the JSON, never fatal).
 pub fn run_bench_suite(opts: &Options, obs: &Telemetry) -> Result<(i32, String), String> {
-    let flags = opts.validate_flags()?;
+    let (inline, vm) = opts.pipeline_configs(obs)?;
     let mut cfg = impact_bench::HarnessConfig {
-        inline: flags.inline,
-        vm: flags.vm,
+        inline,
+        vm,
         // Two representative runs per workload keep the suite
         // interactive; the numbers stay within the paper's shape.
         max_runs: 2,
     };
     if opts.budget.is_none() {
-        // The harness default (1.2x) is the paper's Table 4 operating
-        // point; an explicit --budget overrides it.
-        cfg.inline.code_growth_limit = 1.2;
+        cfg.inline.code_growth_limit = impact_bench::PAPER_CODE_GROWTH_LIMIT;
     }
-    cfg.inline.obs = obs.clone();
-    cfg.vm.obs = obs.clone();
     let suite_span = obs.span("bench:suite");
     let (evals, failures) = impact_bench::evaluate_all_supervised(&cfg);
     drop(suite_span);

@@ -219,18 +219,22 @@ fn telemetry_flags_are_scoped_to_their_commands() {
     assert!(err.contains("pipeline commands"), "{err}");
 }
 
-/// The `pipeline:vm_executions` counter that `ARGS --metrics-out` writes.
+/// The `pipeline:vm_executions` counter that `ARGS --metrics-out` writes,
+/// checked against the number of `vm:run` spans: every VM run is traced.
 fn vm_executions(args: &[&str], metrics: &std::path::Path) -> u64 {
     let mut args = strs(args);
     args.extend(strs(&["--metrics-out", metrics.to_str().unwrap()]));
     let (code, out) = execute(&Options::parse(&args).unwrap()).unwrap();
     assert_eq!(code, 0, "{out}");
     let m = std::fs::read_to_string(metrics).unwrap();
-    let line = m
-        .lines()
-        .find(|l| l.contains("\"pipeline:vm_executions\""))
-        .unwrap_or_else(|| panic!("no pipeline:vm_executions in {m}"));
-    field(line, "value").parse().unwrap()
+    let line = |name: &str| {
+        m.lines()
+            .find(|l| l.contains(&format!("\"name\": \"{name}\"")))
+            .unwrap_or_else(|| panic!("no {name} in {m}"))
+    };
+    let executions = field(line("pipeline:vm_executions"), "value");
+    assert_eq!(field(line("vm:run"), "count"), executions, "{args:?}");
+    executions.parse().unwrap()
 }
 
 #[test]
@@ -261,6 +265,17 @@ fn vm_executions_counter_is_exact() {
         .profile_run_set(4)
         .len() as u64;
     assert_eq!(vm_executions(&["bench", "grep"], &metrics), 2 * n);
+    // The suite profiles each workload over up to two inputs.
+    let n: u64 = impact_workloads::all_benchmarks()
+        .iter()
+        .map(|b| b.profile_run_set(2).len() as u64)
+        .sum();
+    let report_dir = dir.join("suite");
+    let report_dir = report_dir.to_str().unwrap();
+    assert_eq!(
+        vm_executions(&["bench", "--report-dir", report_dir], &metrics),
+        2 * n
+    );
 }
 
 #[test]

@@ -21,6 +21,9 @@
 //!
 //! The one-call driver [`inline_module`] runs all five stages and returns
 //! an [`InlineReport`] with everything the paper's tables need.
+//! [`inline_guarded`] wraps it in the paper's §4 method — profile, inline,
+//! re-profile the same inputs — with a differential guard that rolls back
+//! any expansion that changes the program's behavior.
 //!
 //! ## Example
 //!
@@ -54,6 +57,7 @@ mod classify;
 mod eliminate;
 mod expand;
 mod linearize;
+mod pipeline;
 mod plan;
 mod promote;
 mod recover;
@@ -66,6 +70,10 @@ pub use expand::{
     expand_plan, expand_plan_with_cache, expand_site, DefCacheStats, ExpansionRecord,
 };
 pub use linearize::{linearize, positions_of, Linearization};
+pub use pipeline::{
+    behavior_of, call_decrease_percent, inline_guarded, Behavior, Guarded, Observation, RunSpec,
+    Runner, Unverified,
+};
 pub use plan::{plan, InlinePlan, PlanDecision, PlannedExpansion, RejectReason};
 pub use promote::{promote_indirect_calls, PromotedSite};
 pub use recover::{

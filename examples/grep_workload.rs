@@ -9,17 +9,22 @@
 //! ```
 
 use impact::callgraph::CallGraph;
-use impact::inline::{classify, inline_module, InlineConfig, SiteClass};
-use impact::vm::{profile_runs, VmConfig};
+use impact::inline::{call_decrease_percent, classify, inline_guarded, InlineConfig, SiteClass};
+use impact::vm::VmConfig;
 
 fn main() {
     let b = impact::workloads::benchmark("grep").expect("bundled");
     let module = b.compile().expect("compiles");
     let runs = b.profile_run_set(4);
-    let vm_cfg = VmConfig::default();
+    let inline_cfg = InlineConfig {
+        code_growth_limit: 1.2,
+        ..InlineConfig::default()
+    };
 
-    let (profile, _) = profile_runs(&module, &runs, &vm_cfg).expect("profiles");
-    let averaged = profile.averaged();
+    // Profile, expand, and re-profile the same inputs, guarded.
+    let g = inline_guarded(&module, &runs, &inline_cfg, &VmConfig::default(), None)
+        .expect("inlined module verifies");
+    let averaged = g.baseline.averaged();
     println!(
         "grep: {} C lines, {} static call sites, {} dynamic calls/run",
         b.c_lines(),
@@ -28,10 +33,6 @@ fn main() {
     );
 
     // Classification — Table 2/3 for this benchmark.
-    let inline_cfg = InlineConfig {
-        code_growth_limit: 1.2,
-        ..InlineConfig::default()
-    };
     let graph = CallGraph::build(&module, &averaged);
     let classification = classify(&module, &graph, &inline_cfg);
     let st = classification.static_totals();
@@ -67,17 +68,15 @@ fn main() {
         );
     }
 
-    // Expand and measure.
-    let mut inlined = module.clone();
-    let report = inline_module(&mut inlined, &averaged, &inline_cfg);
-    let (after, _) = profile_runs(&inlined, &runs, &vm_cfg).expect("re-profiles");
+    // What the expansion did.
+    let (_, after) = g.after.expect("re-profiles");
     println!(
         "\nexpanded {} arcs; code {:+.1}%; dynamic calls {} -> {} ({:.1}% eliminated)",
-        report.expanded.len(),
-        report.code_increase_percent(),
-        profile.calls,
+        g.report.expanded.len(),
+        g.report.code_increase_percent(),
+        g.baseline.calls,
         after.calls,
-        100.0 * profile.calls.saturating_sub(after.calls) as f64 / profile.calls as f64
+        call_decrease_percent(&g.baseline, &after)
     );
     println!(
         "ILs per remaining call: {} (paper's grep: 11214)",

@@ -6,17 +6,14 @@
 //! cargo run --release --example threshold_sweep [benchmark]
 //! ```
 
-use impact::inline::{inline_module, InlineConfig};
-use impact::vm::{profile_runs, VmConfig};
+use impact::inline::{call_decrease_percent, inline_guarded, InlineConfig};
+use impact::vm::VmConfig;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "compress".into());
     let b = impact::workloads::benchmark(&name).expect("known benchmark");
     let module = b.compile().expect("compiles");
     let runs = b.profile_run_set(3);
-    let vm_cfg = VmConfig::default();
-    let (profile, _) = profile_runs(&module, &runs, &vm_cfg).expect("profiles");
-    let averaged = profile.averaged();
 
     println!("{name}: sweeping weight_threshold (paper: 10)");
     println!(
@@ -29,15 +26,14 @@ fn main() {
             code_growth_limit: 1.2,
             ..InlineConfig::default()
         };
-        let mut inlined = module.clone();
-        let report = inline_module(&mut inlined, &averaged, &cfg);
-        let (after, _) = profile_runs(&inlined, &runs, &vm_cfg).expect("re-profiles");
-        let dec =
-            100.0 * profile.calls.saturating_sub(after.calls) as f64 / profile.calls.max(1) as f64;
+        let g = inline_guarded(&module, &runs, &cfg, &VmConfig::default(), None)
+            .expect("inlined module verifies");
+        let (_, after) = g.after.expect("re-profiles");
         println!(
-            "{threshold:>10}  {dec:>8.1}%  {:>8.1}%  {:>6}",
-            report.code_increase_percent(),
-            report.expanded.len()
+            "{threshold:>10}  {:>8.1}%  {:>8.1}%  {:>6}",
+            call_decrease_percent(&g.baseline, &after),
+            g.report.code_increase_percent(),
+            g.report.expanded.len()
         );
     }
 }

@@ -47,8 +47,8 @@ pub use impact_workloads as workloads;
 pub mod pipeline {
     use impact_cfront::{compile, CompileError, Source};
     use impact_il::Module;
-    use impact_inline::{inline_module, InlineConfig, InlineReport};
-    use impact_vm::{run, NamedFile, VmConfig, VmError};
+    use impact_inline::{inline_guarded, InlineConfig, InlineReport};
+    use impact_vm::{NamedFile, VmConfig};
 
     /// What [`compile_profile_inline`] produces.
     #[derive(Clone, Debug)]
@@ -72,8 +72,8 @@ pub mod pipeline {
     pub enum PipelineError {
         /// Front-end failure.
         Compile(CompileError),
-        /// Runtime trap.
-        Vm(VmError),
+        /// A run trapped, or the inlined module failed verification.
+        Vm(String),
     }
 
     impl std::fmt::Display for PipelineError {
@@ -93,36 +93,39 @@ pub mod pipeline {
         }
     }
 
-    impl From<VmError> for PipelineError {
-        fn from(e: VmError) -> Self {
-            PipelineError::Vm(e)
-        }
-    }
-
     /// Compiles `sources`, profiles one run on `(inputs, args)`, inline-
-    /// expands with `config`, and re-runs to measure the effect.
+    /// expands with `config`, and re-runs to measure the effect — through
+    /// [`impact_inline::inline_guarded`], the guarded pipeline `impactc`
+    /// compiles with.
     ///
     /// # Errors
     ///
-    /// Fails on compile errors or if either run traps.
+    /// Fails on compile errors, if either run traps, or if the inlined
+    /// module fails verification.
     pub fn compile_profile_inline(
         sources: &[Source],
         inputs: Vec<NamedFile>,
         args: Vec<String>,
         config: &InlineConfig,
     ) -> Result<PipelineReport, PipelineError> {
-        let mut module = compile(sources)?;
-        let vm_cfg = VmConfig::default();
-        let before = run(&module, inputs.clone(), args.clone(), &vm_cfg)?;
-        let report = inline_module(&mut module, &before.profile.averaged(), config);
-        let after = run(&module, inputs, args, &vm_cfg)?;
+        let module = compile(sources)?;
+        let runs = [(inputs, args)];
+        let g = inline_guarded(&module, &runs, config, &VmConfig::default(), None)
+            .map_err(|u| PipelineError::Vm(u.detail))?;
+        if let Some(trap) = g.profile_trap {
+            return Err(PipelineError::Vm(trap));
+        }
+        let (after_seen, after) = g.after.map_err(PipelineError::Vm)?;
+        let before = g
+            .before
+            .expect("an unfaulted profiling run is the ground truth");
         Ok(PipelineReport {
-            module,
-            inline: report,
-            calls_before: before.profile.calls,
-            calls_after: after.profile.calls,
-            exit_before: before.exit_code,
-            exit_after: after.exit_code,
+            module: g.module,
+            inline: g.report,
+            calls_before: g.baseline.calls,
+            calls_after: after.calls,
+            exit_before: before[0].1,
+            exit_after: after_seen[0].1,
         })
     }
 }
